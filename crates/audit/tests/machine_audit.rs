@@ -1,7 +1,8 @@
 //! Integration tests of the audit layer threaded through the full host
 //! machine: every simulated event is followed by a sweep of the registered
 //! invariants (event-time monotonicity, ring occupancy, ordered delivery,
-//! phase exclusivity, LLC/IIO occupancy) plus the policy's own checks
+//! phase exclusivity, LLC/IIO occupancy, the driver-poll readiness index
+//! and service-list pruning) plus the policy's own checks
 //! (credit conservation, no-overdraft, insufficient-set consistency for
 //! CEIO).
 //!
@@ -112,6 +113,50 @@ fn baseline_policy_audits_clean() {
     let report = run_audited(UnmanagedPolicy, thrash_scenario());
     assert!(report.is_clean(), "baseline run:\n{report}");
     assert!(report.events_checked > 0);
+}
+
+#[test]
+fn shared_cores_with_churn_audit_clean() {
+    // Three polling cores share twelve flows, a third of which stop at
+    // 1 ms while four new ones start, and two more end on their own at
+    // 1.5 ms (`FlowSpec::stop`): service lists are pruned while other
+    // flows on the same core hold backlog, and CPU-bypass flows keep the
+    // slow path (the second readiness-marking site) busy throughout.
+    let host = HostConfig {
+        num_cores: Some(3),
+        ..cfg()
+    };
+    let mut s = Scenario::new();
+    for i in 0..12 {
+        let class = if i % 3 == 0 {
+            FlowClass::CpuBypass
+        } else {
+            FlowClass::CpuInvolved
+        };
+        let mut spec = FlowSpec::new(i, class, 2048, 64, Bandwidth::gbps(15));
+        if i == 2 || i == 5 {
+            spec.stop = Time::ZERO + Duration::micros(1500);
+        }
+        s.start_at(Time::ZERO, spec);
+    }
+    let churn = Time::ZERO + Duration::millis(1);
+    for i in 0..4 {
+        s.stop_at(churn, ceio_net::FlowId(i * 3 + 1));
+        s.start_at(
+            churn,
+            FlowSpec::new(12 + i, FlowClass::CpuInvolved, 512, 1, Bandwidth::gbps(15)),
+        );
+    }
+    let policy = CeioPolicy::new(CeioConfig {
+        credit_total: host.credit_total() / 4,
+        ..CeioConfig::default()
+    });
+    let mut sim = Machine::build(host, policy, s.build(), app_factory(2_000));
+    sim.model.arm_audit();
+    let run = run_to_report(&mut sim, Duration::millis(1), Duration::millis(2));
+    let report = sim.model.audit_report().expect("auditor was armed");
+    assert!(report.is_clean(), "shared-core churn run:\n{report}");
+    assert!(run.slow_path_pkts > 0, "the slow path must carry traffic");
 }
 
 #[test]

@@ -19,61 +19,9 @@ use crate::runner::{run_jobs, run_one, PolicyKind};
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind};
 use ceio_host::{HostConfig, RunReport};
-use ceio_net::{FlowClass, FlowSpec, Scenario};
-use ceio_sim::{Bandwidth, Duration, Rng, Time};
+use ceio_sim::Duration;
 
 const ACTIVE: usize = 16;
-
-/// Build the destination-hopping scenario: `n` UD flows, 16 active per
-/// slot, active set re-drawn uniformly each slot.
-fn hopping_scenario(
-    n: u32,
-    slot: Duration,
-    horizon: Duration,
-    link: Bandwidth,
-    seed: u64,
-) -> Scenario {
-    let per = link.scale(1, ACTIVE as u64);
-    let mut s = Scenario::new();
-    let mut rng = Rng::seed_from_u64(seed);
-    // All flows exist (QPs registered) from t=0; non-targets start paused.
-    let mut active: Vec<u32> = (0..n.min(ACTIVE as u32)).collect();
-    for i in 0..n {
-        let demand = if active.contains(&i) {
-            per
-        } else {
-            Bandwidth::bytes_per_sec(0)
-        };
-        s.start_at(
-            Time::ZERO,
-            FlowSpec::new(i, FlowClass::CpuInvolved, 512, 1, demand),
-        );
-    }
-    let mut t = Time::ZERO + slot;
-    while t < Time::ZERO + horizon {
-        // Retarget: pause the old set, draw and start a new one.
-        let mut next: Vec<u32> = Vec::with_capacity(ACTIVE);
-        while next.len() < ACTIVE.min(n as usize) {
-            let cand = rng.gen_range(n as u64) as u32;
-            if !next.contains(&cand) {
-                next.push(cand);
-            }
-        }
-        for &old in &active {
-            if !next.contains(&old) {
-                s.set_demand_at(t, ceio_net::FlowId(old), Bandwidth::bytes_per_sec(0));
-            }
-        }
-        for &new in &next {
-            if !active.contains(&new) {
-                s.set_demand_at(t, ceio_net::FlowId(new), per);
-            }
-        }
-        active = next;
-        t += Duration::nanos(slot.as_nanos());
-    }
-    s.build()
-}
 
 /// Run Figure 12 and return the formatted report.
 pub fn run(quick: bool) -> String {
@@ -105,7 +53,7 @@ pub fn run(quick: bool) -> String {
                 ..HostConfig::default()
             };
             let link = host.net.link_bandwidth;
-            let scen = hopping_scenario(n, slot, horizon, link, 0xF1612 + n as u64);
+            let scen = workloads::hopping(n, ACTIVE, slot, horizon, link, 0xF1612 + n as u64);
             jobs.push(Box::new(move || {
                 run_one(
                     host,

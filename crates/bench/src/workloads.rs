@@ -9,8 +9,8 @@
 use ceio_apps::{EchoApp, KvConfig, KvStore, LineFs, LineFsConfig, SinkApp, VxlanDecap};
 use ceio_cpu::Application;
 use ceio_host::HostConfig;
-use ceio_net::{FlowClass, FlowSpec, Scenario};
-use ceio_sim::{Bandwidth, Duration, Time};
+use ceio_net::{FlowClass, FlowId, FlowSpec, Scenario};
+use ceio_sim::{Bandwidth, Duration, Rng, Time};
 
 /// Transport variant for eRPC (§6.1 evaluates both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,6 +150,60 @@ pub fn dynamic_distribution(phase: Duration, phases: u32, link: Bandwidth) -> Sc
 /// flows; every `phase`, two more burst CPU-involved flows arrive.
 pub fn network_burst(phase: Duration, phases: u32, link: Bandwidth) -> Scenario {
     Scenario::network_burst(8, 2, phases, phase, 512, link.scale(OVERSUB.0, OVERSUB.1))
+}
+
+/// The Fig. 12 destination-hopping scenario: `n` registered UD flows of
+/// 512 B echo traffic, `active` of them sending at once; every `slot` the
+/// active set is re-drawn uniformly (seeded by `seed`) and retargeted in
+/// place with demand changes, so connections are never torn down.
+pub fn hopping(
+    n: u32,
+    active: usize,
+    slot: Duration,
+    horizon: Duration,
+    link: Bandwidth,
+    seed: u64,
+) -> Scenario {
+    let per = link.scale(1, active as u64);
+    let mut s = Scenario::new();
+    let mut rng = Rng::seed_from_u64(seed);
+    // All flows exist (QPs registered) from t=0; non-targets start paused.
+    let mut live: Vec<u32> = (0..n.min(active as u32)).collect();
+    for i in 0..n {
+        let demand = if live.contains(&i) {
+            per
+        } else {
+            Bandwidth::bytes_per_sec(0)
+        };
+        s.start_at(
+            Time::ZERO,
+            FlowSpec::new(i, FlowClass::CpuInvolved, 512, 1, demand),
+        );
+    }
+    let mut t = Time::ZERO + slot;
+    while t < Time::ZERO + horizon {
+        // Retarget: pause the old set, draw and start a new one.
+        let mut next: Vec<u32> = Vec::with_capacity(active);
+        while next.len() < active.min(n as usize) {
+            let cand = rng.gen_range(n as u64) as u32;
+            if !next.contains(&cand) {
+                next.push(cand);
+            }
+        }
+        for &old in &live {
+            if !next.contains(&old) {
+                s.set_demand_at(t, FlowId(old), Bandwidth::bytes_per_sec(0));
+            }
+        }
+        for &new in &next {
+            if !live.contains(&new) {
+                s.set_demand_at(t, FlowId(new), per);
+            }
+        }
+        live = next;
+        t += Duration::nanos(slot.as_nanos());
+    }
+    s.build()
 }
 
 /// Measurement spans used across experiments.

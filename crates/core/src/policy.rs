@@ -122,6 +122,18 @@ struct PolicyChaos {
     delayed: Vec<DelayedRelease>,
 }
 
+/// Flow lists one controller poll builds, kept between polls (empty) so
+/// their capacity is reused.
+#[derive(Debug, Default)]
+struct PollScratch {
+    /// Flows eligible for the pooled-credit re-grant.
+    active: Vec<FlowId>,
+    /// Slow-path-overloaded flows to ECN-mark.
+    to_mark: Vec<FlowId>,
+    /// Flows whose credits return to the pool.
+    to_reclaim: Vec<FlowId>,
+}
+
 /// The CEIO policy.
 pub struct CeioPolicy {
     cfg: CeioConfig,
@@ -140,6 +152,7 @@ pub struct CeioPolicy {
     mode: Mode,
     calm_polls: u32,
     rejections_at_last_poll: u64,
+    scratch: PollScratch,
     #[cfg(feature = "chaos")]
     chaos: Option<Box<PolicyChaos>>,
     /// Controller-level trace recorder (rule rewrites, phase
@@ -167,6 +180,7 @@ impl CeioPolicy {
             mode: Mode::Normal,
             calm_polls: 0,
             rejections_at_last_poll: 0,
+            scratch: PollScratch::default(),
             #[cfg(feature = "chaos")]
             chaos: None,
             #[cfg(feature = "trace")]
@@ -669,11 +683,12 @@ impl IoPolicy for CeioPolicy {
         self.deliver_matured_releases(now);
         // Reclaim count is already folded into `CreditStats::lease_reclaims`.
         let _ = self.credits.expire_leases();
-        let ids: Vec<FlowId> = self.ctl.keys().copied().collect();
-        let mut active: Vec<FlowId> = Vec::new();
-        let mut to_mark: Vec<FlowId> = Vec::new();
-        let mut to_reclaim: Vec<FlowId> = Vec::new();
-        for flow in ids {
+        // Per-poll flow lists reuse the policy's scratch buffers, so a
+        // steady-state poll allocates nothing.
+        let mut active = std::mem::take(&mut self.scratch.active);
+        let mut to_mark = std::mem::take(&mut self.scratch.to_mark);
+        let mut to_reclaim = std::mem::take(&mut self.scratch.to_reclaim);
+        for (&flow, c) in self.ctl.iter_mut() {
             // Poll the steering counter (the hardware credit-consumption
             // signal the controller tracks, Fig. 6).
             let _hits = st.rmt.poll_hits(&flow);
@@ -681,10 +696,6 @@ impl IoPolicy for CeioPolicy {
             let Some(f) = st.flows.get(&flow) else {
                 continue;
             };
-            let c = self
-                .ctl
-                .get_mut(&flow)
-                .expect("invariant: `ctl` has an entry for every flow in `st.flows`");
             let consumed = f.counters.consumed_pkts;
             let arrivals = f.nic_seq_next;
             if consumed > c.consumed_at_last_poll || arrivals > c.arrivals_at_last_poll {
@@ -742,12 +753,12 @@ impl IoPolicy for CeioPolicy {
             c.arrivals_at_last_poll = arrivals;
             c.slow_len_at_last_poll = slow_len;
         }
-        for flow in to_mark {
+        for &flow in &to_mark {
             st.mark_flow(now, flow);
             self.stats.cca_triggers += 1;
         }
         if self.cfg.reallocate {
-            for flow in to_reclaim {
+            for &flow in &to_reclaim {
                 if self.credits.reclaim(flow) > 0 {
                     st.nic_arm.execute(now, st.cfg.nic.arm_credit_op);
                 }
@@ -758,9 +769,10 @@ impl IoPolicy for CeioPolicy {
             // the pool goes back to all of them evenly.
             if self.credits.free_pool() > 0 {
                 if active.is_empty() {
-                    active = self.ctl.keys().copied().collect();
+                    active.extend(self.ctl.keys().copied());
                 }
-                active.sort_unstable();
+                // Both sources walk `ctl`, so the list is in flow-id order.
+                debug_assert!(active.is_sorted());
                 self.credits.grant_evenly(&active);
             }
             // Round-robin re-activation backstop (§4.1 Q3 fairness).
@@ -793,6 +805,14 @@ impl IoPolicy for CeioPolicy {
                 }
             }
         }
+        active.clear();
+        to_mark.clear();
+        to_reclaim.clear();
+        self.scratch = PollScratch {
+            active,
+            to_mark,
+            to_reclaim,
+        };
         // Hierarchical ledger rebalance (multi-queue only): quiet queue
         // partitions yield free slack above their base share to the global
         // pool; partitions that denied admissions since the last poll

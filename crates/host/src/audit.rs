@@ -19,6 +19,11 @@
 //! * **llc-io-occupancy** — DDIO-resident I/O bytes never exceed the
 //!   reachable LLC partition capacity (what credit admission guarantees).
 //! * **iio-occupancy** — staged bytes never exceed the IIO buffer.
+//! * **readiness-index** — every flow with local backlog (ready or parked
+//!   packets) is marked in its core's readiness index, so a driver poll
+//!   that visits only marked flows misses no work.
+//! * **service-list-pruning** — each core's count of listed stopped flows
+//!   covers every one of them, so a drained flow always leaves the list.
 //!
 //! Policy-internal invariants (the CEIO credit ledger) are checked through
 //! the [`IoPolicy::audit_check`] hook, which shares this auditor's sink so
@@ -186,6 +191,47 @@ impl HostAuditor {
                 } else {
                     Ok(())
                 }
+            },
+        )));
+
+        // 7. Readiness index covers all local backlog.
+        registry.register(Box::new(FnInvariant::new(
+            "readiness-index",
+            |st: &HostState| {
+                for (id, f) in &st.flows {
+                    let backlog = !f.ready.is_empty() || !f.slow_queue.is_empty();
+                    if backlog && !st.backlog_marked(*id) {
+                        return Err((
+                            format!(
+                                "flow {}: local backlog but no readiness mark \
+                                 (a core poll would skip it)",
+                                id.0
+                            ),
+                            vec![
+                                ("flow", id.0.to_string()),
+                                ("core", f.core.to_string()),
+                                ("ready", f.ready.len().to_string()),
+                                ("slow_queue", f.slow_queue.len().to_string()),
+                            ],
+                        ));
+                    }
+                }
+                Ok(())
+            },
+        )));
+
+        // 8. Every stopped flow still listed is counted for pruning.
+        registry.register(Box::new(FnInvariant::new(
+            "service-list-pruning",
+            |st: &HostState| match st.uncounted_stop() {
+                Some((core, listed)) => Err((
+                    format!(
+                        "core {core}: {listed} stopped flows listed but not all \
+                         counted (a drained flow would never be pruned)"
+                    ),
+                    vec![("core", core.to_string()), ("listed", listed.to_string())],
+                )),
+                None => Ok(()),
             },
         )));
 

@@ -62,6 +62,9 @@ pub struct FlowState {
     pub gen: TrafficGen,
     /// Index of the host core serving this flow.
     pub core: usize,
+    /// Position of this flow in its core's service list, which keys the
+    /// core's readiness index (maintained by the machine).
+    pub(crate) slot: usize,
     /// Receive queue (RSS shard) this flow's fast path lands on.
     pub queue: usize,
     /// Whether the sender is still emitting.
@@ -123,6 +126,7 @@ impl FlowState {
             cca,
             gen,
             core,
+            slot: 0,
             queue,
             active: true,
             emit_epoch: 0,

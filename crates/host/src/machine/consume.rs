@@ -15,8 +15,8 @@ use super::{Event, Machine};
 
 impl<P: IoPolicy> Machine<P> {
     pub(super) fn schedule_poll(&mut self, queue: &mut EventQueue<Event>, at: Time, core: usize) {
-        if !self.st.poll_queued[core] {
-            self.st.poll_queued[core] = true;
+        if !self.st.core_svc[core].poll_queued {
+            self.st.core_svc[core].poll_queued = true;
             queue.schedule_at(at.max(queue.now()), Event::CorePoll(core));
         }
     }
@@ -126,8 +126,44 @@ impl<P: IoPolicy> Machine<P> {
         }
     }
 
+    /// Drop finished-and-drained flows from `core`'s service list and
+    /// re-record the slots of the flows that remain.
+    fn prune_service_list(&mut self, core: usize) {
+        let flows = &self.st.flows;
+        self.st.core_svc[core].retain(|id| {
+            flows
+                .get(&id)
+                .map(|f| f.active || f.has_pending_work())
+                .unwrap_or(false)
+        });
+        let mut stopped = 0;
+        for (slot, id) in self.st.core_svc[core].flows().iter().enumerate() {
+            if let Some(f) = self.st.flows.get_mut(id) {
+                // A flow id restarted on another core keeps that core's slot.
+                if f.core == core {
+                    f.slot = slot;
+                }
+                stopped += usize::from(!f.active);
+            }
+        }
+        self.st.core_svc[core].stopped = stopped;
+    }
+
+    /// Clear `slot`'s readiness mark once its flow has no local backlog
+    /// (the lazy half of the readiness index).
+    fn clear_if_idle(&mut self, core: usize, slot: usize, flow: FlowId) {
+        let idle = self
+            .st
+            .flows
+            .get(&flow)
+            .is_none_or(|f| f.ready.is_empty() && f.slow_queue.is_empty());
+        if idle {
+            self.st.core_svc[core].unmark(slot);
+        }
+    }
+
     pub(super) fn on_core_poll(&mut self, now: Time, core: usize, queue: &mut EventQueue<Event>) {
-        self.st.poll_queued[core] = false;
+        self.st.core_svc[core].poll_queued = false;
         // Injected consumer pause: the driver thread is descheduled for a
         // while (GC pause, noisy neighbour). The poll is deferred — rings
         // and the slow path back up, exercising the backpressure path.
@@ -147,16 +183,11 @@ impl<P: IoPolicy> Machine<P> {
                 return;
             }
         }
-        // Drop finished-and-drained flows from this core's service list.
-        self.st.core_flows[core].retain(|id| {
-            self.st
-                .flows
-                .get(id)
-                .map(|f| f.active || f.has_pending_work())
-                .unwrap_or(false)
-        });
-        let served = self.st.core_flows[core].clone();
-        if served.is_empty() {
+        if self.st.core_svc[core].stopped > 0 {
+            self.prune_service_list(core);
+        }
+        let n = self.st.core_svc[core].len();
+        if n == 0 {
             return;
         }
 
@@ -165,53 +196,69 @@ impl<P: IoPolicy> Machine<P> {
         // precedes new slow-path fetches: a blocking recv() returns the
         // data that already landed before it issues (and waits on) another
         // DMA read, otherwise a busy slow path would starve the consumer.
-        let n = served.len();
-        let start = self.st.core_rr[core] % n;
+        //
+        // Only slots marked in the readiness index are visited, from the
+        // cursor onwards and wrapping. An unmarked flow has no local
+        // backlog: it could only yield an empty batch, no ordering stall
+        // and no drain (the `on_driver_poll` contract), so skipping it
+        // picks the same flow the full scan over every slot would.
+        let start = self.st.core_svc[core].rr % n;
         let mut selected: Option<(FlowId, Vec<ReadyPkt>, FlowClass)> = None;
         let mut sync_stall: Option<Time> = None;
-        for k in 0..n {
-            let flow_id = served[(start + k) % n];
-            let batch_size = self.st.cfg.cpu.batch_size;
-            let (batch, gap_stall, class) = {
-                let f =
-                    self.st.flows.get_mut(&flow_id).expect(
-                        "invariant: `flow_id` was produced by a retain over `self.st.flows`",
-                    );
-                let batch = f.take_deliverable(now, batch_size);
-                let gap_stall = batch.is_empty()
-                    && f.ready
-                        .first_key_value()
-                        .map(|(&seq, rp)| seq != f.next_deliver_seq && rp.ready <= now)
-                        .unwrap_or(false);
-                (batch, gap_stall, f.spec.class)
-            };
-            if !batch.is_empty() {
-                // async_recv() overlap: kick the next slow-path fetch
-                // while this batch is processed (§4.2).
+        'scan: for (lo, hi) in [(start, n), (0, start)] {
+            let mut from = lo;
+            while let Some(slot) = self.st.core_svc[core].next_marked(from, hi) {
+                from = slot + 1;
+                let flow_id = self.st.core_svc[core].flow(slot);
+                let batch_size = self.st.cfg.cpu.batch_size;
+                let (batch, gap_stall, class) = {
+                    let f = self
+                        .st
+                        .flows
+                        .get_mut(&flow_id)
+                        .expect("invariant: every listed flow has state in `self.st.flows`");
+                    let batch = f.take_deliverable(now, batch_size);
+                    let gap_stall = batch.is_empty()
+                        && f.ready
+                            .first_key_value()
+                            .map(|(&seq, rp)| seq != f.next_deliver_seq && rp.ready <= now)
+                            .unwrap_or(false);
+                    (batch, gap_stall, f.spec.class)
+                };
+                if !batch.is_empty() {
+                    // async_recv() overlap: kick the next slow-path fetch
+                    // while this batch is processed (§4.2).
+                    let drain = self.policy.on_driver_poll(&mut self.st, now, flow_id);
+                    if drain.fetch > 0 && !drain.sync {
+                        if let Some((at_host, fetched)) =
+                            self.do_slow_fetch(now, flow_id, drain.fetch)
+                        {
+                            self.schedule_slow_arrivals(at_host, fetched, queue);
+                        }
+                    }
+                    self.clear_if_idle(core, slot, flow_id);
+                    self.st.core_svc[core].rr = (slot + 1) % n;
+                    selected = Some((flow_id, batch, class));
+                    break 'scan;
+                }
+                if gap_stall {
+                    self.st.ordering_stalls += 1;
+                }
+                // Nothing deliverable: drain the slow path (blocking recv()
+                // stalls the core until the fetch lands).
                 let drain = self.policy.on_driver_poll(&mut self.st, now, flow_id);
-                if drain.fetch > 0 && !drain.sync {
+                if drain.fetch > 0 {
                     if let Some((at_host, fetched)) = self.do_slow_fetch(now, flow_id, drain.fetch)
                     {
                         self.schedule_slow_arrivals(at_host, fetched, queue);
+                        if drain.sync {
+                            sync_stall = Some(at_host);
+                        }
                     }
                 }
-                self.st.core_rr[core] = (start + k + 1) % n;
-                selected = Some((flow_id, batch, class));
-                break;
-            }
-            if gap_stall {
-                self.st.ordering_stalls += 1;
-            }
-            // Nothing deliverable: drain the slow path (blocking recv()
-            // stalls the core until the fetch lands).
-            let drain = self.policy.on_driver_poll(&mut self.st, now, flow_id);
-            if drain.fetch > 0 {
-                if let Some((at_host, fetched)) = self.do_slow_fetch(now, flow_id, drain.fetch) {
-                    self.schedule_slow_arrivals(at_host, fetched, queue);
-                    if drain.sync {
-                        sync_stall = Some(at_host);
-                        break;
-                    }
+                self.clear_if_idle(core, slot, flow_id);
+                if sync_stall.is_some() {
+                    break 'scan;
                 }
             }
         }

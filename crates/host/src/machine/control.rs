@@ -11,6 +11,7 @@
 use crate::flowstate::FlowState;
 use crate::policy::IoPolicy;
 use crate::rxq::QueueState;
+use crate::service::ServiceList;
 #[cfg(feature = "chaos")]
 use ceio_chaos::{FaultInjector, FaultPlan, FaultSite};
 use ceio_net::{Dctcp, FlowId, FlowSpec, ScenarioEvent, TrafficGen};
@@ -90,9 +91,7 @@ pub(crate) struct HostChaos {
 impl<P: IoPolicy> Machine<P> {
     fn new_core(&mut self) -> usize {
         self.st.cores.push(ceio_cpu::CpuCore::new());
-        self.st.core_flows.push(Vec::new());
-        self.st.core_rr.push(0);
-        self.st.poll_queued.push(false);
+        self.st.core_svc.push(ServiceList::default());
         self.st.cores.len() - 1
     }
 
@@ -117,7 +116,7 @@ impl<P: IoPolicy> Machine<P> {
             }
             // Dedicated-core mode (§2.3): one core per flow, reusing cores
             // whose flow has finished and drained.
-            None => match self.st.core_flows.iter().position(|f| f.is_empty()) {
+            None => match self.st.core_svc.iter().position(|s| s.is_empty()) {
                 Some(i) => i,
                 None => self.new_core(),
             },
@@ -125,7 +124,7 @@ impl<P: IoPolicy> Machine<P> {
         self.st.flows_started += 1;
         self.st.flows_started_per_queue[q] += 1;
         let id = spec.id;
-        self.st.core_flows[core].push(id);
+        let slot = self.st.core_svc[core].push(id);
         let gen = TrafficGen::new(
             spec.clone(),
             self.st.pacing,
@@ -135,9 +134,9 @@ impl<P: IoPolicy> Machine<P> {
         let cca = Dctcp::new(spec.demand, self.st.cfg.net.rtt);
         let app = (self.st.app_factory)(&spec);
         let ring_cap = self.st.cfg.ring_entries as u32;
-        self.st
-            .flows
-            .insert(id, FlowState::new(spec, cca, gen, core, q, ring_cap));
+        let mut state = FlowState::new(spec, cca, gen, core, q, ring_cap);
+        state.slot = slot;
+        self.st.flows.insert(id, state);
         self.st.apps.insert(id, app);
         self.policy.on_flow_start(&mut self.st, now, id);
         let tok = queue.schedule_cancellable_at(now, Event::Emit { flow: id, epoch: 0 });
@@ -151,8 +150,8 @@ impl<P: IoPolicy> Machine<P> {
         // Connection teardown: undelivered backlog is freed, not processed
         // — the application never sees data of a closed connection, and
         // its buffers (host LLC residency, on-NIC parking) return at once.
+        self.st.deactivate(id);
         if let Some(f) = self.st.flows.get_mut(&id) {
-            f.active = false;
             if let Some(tok) = f.emit_timer.take() {
                 queue.cancel(tok);
             }

@@ -295,7 +295,7 @@ impl<P: IoPolicy> Machine<P> {
                         via_slow,
                     },
                 );
-                poll_core = Some(f.core);
+                poll_core = Some((f.core, f.slot));
             }
         } else {
             // Flow torn down: release the buffer.
@@ -315,7 +315,8 @@ impl<P: IoPolicy> Machine<P> {
             }
         }
         self.pump_all(queue, now);
-        if let Some(core) = poll_core {
+        if let Some((core, slot)) = poll_core {
+            self.st.core_svc[core].mark(slot);
             self.schedule_poll(queue, now, core);
         }
     }

@@ -41,7 +41,7 @@ impl<P: IoPolicy> Machine<P> {
         // below either stores a fresh token or leaves the chain ended.
         f.emit_timer = None;
         if !f.active || now >= f.spec.stop {
-            f.active = false;
+            self.st.deactivate(id);
             return;
         }
         if f.cca.paused() {
@@ -136,6 +136,8 @@ impl<P: IoPolicy> Machine<P> {
                             ready_at_nic,
                         });
                         f.counters.slow_pkts += 1;
+                        let (core, slot) = (f.core, f.slot);
+                        self.st.core_svc[core].mark(slot);
                         self.st
                             .trace_event(now, Some(pkt.flow.0), TraceKind::SlowPark, pkt.bytes);
                     }

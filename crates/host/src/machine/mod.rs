@@ -50,6 +50,7 @@ use crate::flowstate::FlowState;
 use crate::measure::{Measurements, RunReport};
 use crate::policy::IoPolicy;
 use crate::rxq::{PendingDma, RxQueue};
+use crate::service::ServiceList;
 use crate::slab::{DmaId, PayloadSlabs, PktId};
 use ceio_cpu::{Application, CpuCore};
 use ceio_mem::{BufferId, MemoryController};
@@ -172,11 +173,11 @@ pub struct HostState {
     pub memctrl: MemoryController,
     /// Host CPU cores (index = core id).
     pub cores: Vec<CpuCore>,
-    core_flows: Vec<Vec<FlowId>>,
-    core_rr: Vec<usize>,
+    /// Per-core service lists with their readiness index (index = core
+    /// id; see [`crate::service`]).
+    core_svc: Vec<ServiceList>,
     flows_started: usize,
     flows_started_per_queue: Vec<usize>,
-    poll_queued: Vec<bool>,
     /// Per-receive-queue DMA issue pipelines (RSS shards). Length is
     /// `cfg.num_queues`; index `q` is the queue `rss_queue` maps a flow to.
     pub rxq: Vec<RxQueue>,
@@ -227,6 +228,52 @@ pub struct HostState {
 }
 
 impl HostState {
+    /// Whether `flow` is listed on its core and marked in that core's
+    /// readiness index. Every flow with local backlog must be, or a poll
+    /// could skip work the full scan would have found (checked by the
+    /// audit layer's `readiness-index` invariant).
+    #[cfg(feature = "audit")]
+    pub(crate) fn backlog_marked(&self, flow: FlowId) -> bool {
+        self.flows.get(&flow).is_some_and(|f| {
+            self.core_svc.get(f.core).is_some_and(|svc| {
+                f.slot < svc.len() && svc.flow(f.slot) == flow && svc.is_marked(f.slot)
+            })
+        })
+    }
+
+    /// A core that lists more of its own stopped flows than its `stopped`
+    /// count records. Such a core skips pruning, so a drained flow would
+    /// stay listed and keep the core polling (checked by the audit layer's
+    /// `service-list-pruning` invariant).
+    #[cfg(feature = "audit")]
+    pub(crate) fn uncounted_stop(&self) -> Option<(usize, usize)> {
+        self.core_svc.iter().enumerate().find_map(|(core, svc)| {
+            let listed = svc
+                .flows()
+                .iter()
+                .filter(|id| {
+                    self.flows
+                        .get(id)
+                        .is_some_and(|f| f.core == core && !f.active)
+                })
+                .count();
+            (listed > svc.stopped).then_some((core, listed))
+        })
+    }
+
+    /// End `flow`'s activity: torn down, or past its `spec.stop`. Every
+    /// active-to-inactive transition goes through here, because it also
+    /// counts the flow on its core: while a core lists a stopped flow, each
+    /// poll prunes its service list until the flow has drained off it.
+    fn deactivate(&mut self, flow: FlowId) {
+        if let Some(f) = self.flows.get_mut(&flow) {
+            if f.active {
+                f.active = false;
+                self.core_svc[f.core].stopped += 1;
+            }
+        }
+    }
+
     /// Allocate a fresh host I/O buffer id.
     fn alloc_buf(&mut self) -> BufferId {
         let id = BufferId(self.next_buf_id);
@@ -444,11 +491,9 @@ impl<P: IoPolicy> Machine<P> {
             dma,
             memctrl: MemoryController::new(cfg.mem.clone()),
             cores: Vec::new(),
-            core_flows: Vec::new(),
-            core_rr: Vec::new(),
+            core_svc: Vec::new(),
             flows_started: 0,
             flows_started_per_queue: vec![0; num_queues],
-            poll_queued: Vec::new(),
             rxq: (0..num_queues).map(|_| RxQueue::new()).collect(),
             queue_remap: (0..num_queues).collect(),
             iio_pending: VecDeque::new(),

@@ -97,6 +97,14 @@ pub trait IoPolicy {
 
     /// The driver polled this flow's rings (each `recv()`/`async_recv()`
     /// call): decide whether to drain the slow path.
+    ///
+    /// Poll contract: the machine calls this only for flows with local
+    /// backlog — a non-empty ordered delivery buffer (`ready`) or slow
+    /// queue — because each core's poll visits only the flows its
+    /// readiness index marks. When the flow's slow queue is empty an
+    /// implementation must return [`DrainRequest::NONE`] and have no side
+    /// effects, so visiting a flow without backlog (a stale mark) is
+    /// indistinguishable from skipping it.
     fn on_driver_poll(&mut self, st: &mut HostState, now: Time, flow: FlowId) -> DrainRequest {
         let _ = (st, now, flow);
         DrainRequest::NONE

@@ -121,6 +121,36 @@ fn shared_cores_serve_many_flows_fairly() {
     assert!(spread < 0.2, "round-robin fairness: min {min} max {max}");
 }
 
+#[test]
+fn restarted_flow_id_on_another_core_is_served() {
+    // Two shared cores; flow 0 is torn down at 1 ms and a flow with the
+    // same id starts at once, landing on the other core. The old core
+    // still lists id 0 when it next prunes its service list; that must not
+    // disturb the restarted flow's place on its new core.
+    let spec = |i| FlowSpec::new(i, FlowClass::CpuInvolved, 512, 1, Bandwidth::gbps(5));
+    let mut s = Scenario::new();
+    for i in 0..3 {
+        s.start_at(Time::ZERO, spec(i));
+    }
+    let churn = Time::ZERO + Duration::millis(1);
+    s.stop_at(churn, FlowId(0));
+    let mut again = spec(0);
+    again.start = churn;
+    s.start_at(churn, again);
+    let cfg = HostConfig {
+        num_cores: Some(2),
+        ..HostConfig::default()
+    };
+    let mut sim = Machine::build(cfg, UnmanagedPolicy, s.build(), cheap());
+    sim.run_until(Time::ZERO + Duration::millis(3), u64::MAX);
+    let f = &sim.model.st.flows[&FlowId(0)];
+    assert_eq!(f.core, 1, "the restart lands on the other core");
+    assert!(
+        f.counters.consumed_pkts > 0,
+        "the restarted flow must be served"
+    );
+}
+
 /// A policy that installs a hard DMA pace once.
 struct PacedPolicy;
 impl IoPolicy for PacedPolicy {
@@ -337,7 +367,20 @@ mod chaos {
                 _: u32,
             ) {
             }
-            fn on_driver_poll(&mut self, _: &mut HostState, _: Time, _: FlowId) -> DrainRequest {
+            fn on_driver_poll(
+                &mut self,
+                st: &mut HostState,
+                _: Time,
+                flow: FlowId,
+            ) -> DrainRequest {
+                // Poll contract: no drain request on an empty slow queue.
+                let parked = st
+                    .flows
+                    .get(&flow)
+                    .is_some_and(|f| !f.slow_queue.is_empty());
+                if !parked {
+                    return DrainRequest::NONE;
+                }
                 DrainRequest {
                     fetch: 32,
                     sync: false,

@@ -3,15 +3,35 @@
 //! consumer costs.
 
 use ceio_cpu::{AppWork, Application};
-use ceio_host::{HostConfig, Machine, UnmanagedPolicy};
+use ceio_host::{AppFactory, HostConfig, Machine, UnmanagedPolicy};
 use ceio_net::{FlowClass, FlowSpec, Packet, Scenario};
 use ceio_sim::{Bandwidth, Duration, Time};
 use proptest::prelude::*;
+use std::cell::Cell;
+use std::rc::Rc;
 
+/// Fixed-cost consumer that checks per-flow wire order. Order violations
+/// land in a counter shared with the test (every flow's app gets a clone),
+/// so the test can assert on what the applications saw.
 struct FixedApp {
     cost: Duration,
     last_seen: Option<(u64, u32)>,
-    order_violations: u64,
+    order_violations: Rc<Cell<u64>>,
+}
+
+/// An app factory of [`FixedApp`]s at `cost_ns`, plus the shared
+/// order-violation counter of every app it builds.
+fn fixed_apps(cost_ns: u64) -> (AppFactory, Rc<Cell<u64>>) {
+    let violations = Rc::new(Cell::new(0));
+    let shared = Rc::clone(&violations);
+    let factory: AppFactory = Box::new(move |_| {
+        Box::new(FixedApp {
+            cost: Duration::nanos(cost_ns),
+            last_seen: None,
+            order_violations: Rc::clone(&shared),
+        })
+    });
+    (factory, violations)
 }
 
 impl Application for FixedApp {
@@ -23,7 +43,7 @@ impl Application for FixedApp {
         let key = (pkt.msg_id, pkt.msg_seq);
         if let Some(prev) = self.last_seen {
             if key <= prev {
-                self.order_violations += 1;
+                self.order_violations.set(self.order_violations.get() + 1);
             }
         }
         self.last_seen = Some(key);
@@ -81,18 +101,8 @@ proptest! {
             s.start_at(Time::ZERO, spec);
         }
         let cfg = HostConfig { seed, ..HostConfig::default() };
-        let mut sim = Machine::build(
-            cfg,
-            UnmanagedPolicy,
-            s.build(),
-            Box::new(move |_| {
-                Box::new(FixedApp {
-                    cost: Duration::nanos(cost_ns),
-                    last_seen: None,
-                    order_violations: 0,
-                })
-            }),
-        );
+        let (apps, order_violations) = fixed_apps(cost_ns);
+        let mut sim = Machine::build(cfg, UnmanagedPolicy, s.build(), apps);
         // Generous drain window: worst case is a full ring at max cost.
         sim.run_until(Time::ZERO + Duration::millis(6), u64::MAX);
 
@@ -119,11 +129,12 @@ proptest! {
         prop_assert!(consumed > 0, "something must get through");
 
         // Per-flow wire order at the application.
-        for app in st.apps.values() {
-            let _ = app.name();
-        }
-        // Ordering violations are tracked inside the apps; reach them via
-        // the latency histograms instead: count must equal consumption.
+        prop_assert_eq!(
+            order_violations.get(),
+            0,
+            "an application saw a packet out of its flow's wire order"
+        );
+        // Every delivery is recorded once: latency samples equal consumption.
         let lat_count: u64 = st
             .flows
             .values()
@@ -147,18 +158,8 @@ proptest! {
                 FlowSpec::new(0, FlowClass::CpuInvolved, pkt, 1, Bandwidth::gbps(gbps)),
             );
             let cfg = HostConfig { seed, ..HostConfig::default() };
-            let mut sim = Machine::build(
-                cfg,
-                UnmanagedPolicy,
-                s.build(),
-                Box::new(move |_| {
-                    Box::new(FixedApp {
-                        cost: Duration::nanos(cost_ns),
-                        last_seen: None,
-                        order_violations: 0,
-                    })
-                }),
-            );
+            let (apps, _) = fixed_apps(cost_ns);
+            let mut sim = Machine::build(cfg, UnmanagedPolicy, s.build(), apps);
             sim.run_until(Time::ZERO + Duration::millis(2), u64::MAX);
             let f = sim.model.st.flows.values().next().expect("one flow");
             (
@@ -226,17 +227,12 @@ mod chaos {
                     FlowSpec::new(0, FlowClass::CpuInvolved, 512, 1, Bandwidth::gbps(gbps));
                 spec.stop = Time::ZERO + Duration::millis(1);
                 s.start_at(Time::ZERO, spec);
+                let (apps, order_violations) = fixed_apps(80);
                 let mut sim = Machine::build(
                     HostConfig::default(),
                     UnmanagedPolicy,
                     s.build(),
-                    Box::new(|_| {
-                        Box::new(FixedApp {
-                            cost: Duration::nanos(80),
-                            last_seen: None,
-                            order_violations: 0,
-                        })
-                    }),
+                    apps,
                 );
                 sim.model.arm_chaos(&plan);
                 // Generous drain window: retry backoff under a total-fault
@@ -253,6 +249,7 @@ mod chaos {
                     st.recovery.consumer_pauses,
                     sim.model.injected_faults(),
                     sim.events_processed(),
+                    order_violations.get(),
                 )
             };
             let a = run();
@@ -261,6 +258,7 @@ mod chaos {
                 a.1 + a.2,
                 "conservation must hold under any fault schedule"
             );
+            prop_assert_eq!(a.8, 0, "faults must never reorder a flow's delivery");
             // Bit-identical replay of the same plan.
             let b = run();
             prop_assert_eq!(a, b, "chaotic runs must be deterministic");

@@ -196,4 +196,18 @@ grep -q "^ceio_credit_conserved 1$" "$smoke_dir/failover-metrics.prom" \
     || { echo "failover smoke: credits not conserved across quarantine/restore"; exit 1; }
 echo "failover smoke passed"
 
+echo "==> simbench smoke (repo benchmark tests + recorded fingerprints)"
+# The benchmark package checks every simulation it runs: conservation,
+# traced == untraced outputs, and for seed 1 the fingerprints recorded in
+# simbench/fingerprints.txt. A one-second run per workload is enough to
+# fail the build on any change that moves the modeled results; the
+# timing numbers themselves are not gated here.
+cargo test --release --offline --manifest-path simbench/Cargo.toml
+for w in kv hop thrash; do
+    cargo run --release --offline -q --manifest-path simbench/Cargo.toml -- \
+        --workload "$w" --seconds 1 > "$smoke_dir/simbench-$w.txt" \
+        || { cat "$smoke_dir/simbench-$w.txt"; echo "simbench smoke: $w failed its output checks"; exit 1; }
+done
+echo "simbench smoke passed"
+
 echo "All checks passed."
