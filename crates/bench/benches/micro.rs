@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the hot-path data structures: the credit
-//! manager's admission/release, the software ring, the LLC occupancy
-//! model, and the event queue. These guard the simulator's own
-//! performance, not the paper's results.
+//! manager's admission/release, the software ring, the two LLC models
+//! (occupancy pool and set-associative), and the event queue. These guard
+//! the simulator's own performance, not the paper's results.
 
 use ceio_core::{CreditManager, SwRing};
-use ceio_mem::{BufferId, IoLlc};
+use ceio_mem::{BufferId, IoLlc, LlcModelKind, MemParams, SetAssocLlc};
 use ceio_net::FlowId;
 use ceio_sim::{EventQueue, Histogram, Time};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -80,6 +80,39 @@ fn bench_llc(c: &mut Criterion) {
     });
 }
 
+/// The set-associative model at the default geometry (16384 sets × 12
+/// ways, 6 DDIO ways, 4 antagonist lines per insert). Each iteration
+/// inserts one buffer, then looks up and consumes the one inserted two
+/// partitions' worth of buffers earlier. Most of those were already
+/// evicted, so the partition stays full and inserts pay LRU victim
+/// searches and evictions.
+fn bench_setassoc(c: &mut Criterion) {
+    let params = MemParams {
+        llc_model: LlcModelKind::SetAssoc,
+        ..MemParams::default()
+    }
+    .set_assoc_params();
+    for (name, bytes) in [
+        ("setassoc_insert_lagged_consume_512b", 512u64),
+        ("setassoc_insert_lagged_consume_2kb", 2048),
+    ] {
+        c.bench_function(name, |b| {
+            let mut llc = SetAssocLlc::new(params.clone());
+            let lag = 2 * llc.capacity() / bytes;
+            for i in 0..lag {
+                llc.insert(BufferId(i), bytes);
+            }
+            let mut i = lag;
+            b.iter(|| {
+                black_box(llc.insert(BufferId(i), bytes).len());
+                black_box(llc.lookup(BufferId(i - lag)));
+                llc.consume(BufferId(i - lag));
+                i += 1;
+            });
+        });
+    }
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_schedule_pop", |b| {
         let mut q: EventQueue<u64> = EventQueue::new();
@@ -122,6 +155,7 @@ criterion_group!(
     bench_credit_manager,
     bench_swring,
     bench_llc,
+    bench_setassoc,
     bench_event_queue,
     bench_histogram
 );

@@ -5,6 +5,10 @@
 //! landed, so any drift here means the refactor changed observable
 //! behavior — not just internal structure.
 //!
+//! The four-queue set-associative goldens pin the way-partitioned LLC
+//! model the same way: they were captured before its storage was
+//! rewritten, so any drift means a placement or eviction decision moved.
+//!
 //! When a change is intentional (and argued for in the PR), regenerate
 //! with
 //!
@@ -16,6 +20,8 @@
 
 use ceio_bench::runner::{run_one, series_csv, PolicyKind};
 use ceio_bench::workloads::{self, AppKind, Transport};
+use ceio_host::HostConfig;
+use ceio_mem::LlcModelKind;
 use ceio_sim::Duration;
 use std::path::PathBuf;
 
@@ -54,12 +60,17 @@ fn check(name: &str, actual: &str) {
     );
 }
 
-/// Exactly the `ceio-trace --scenario kv` configuration at test scale:
-/// the contended DPDK host with the CLI's 100 µs sample window, eight
-/// always-on CPU-involved KV flows, 1 ms warmup, 2 ms measured.
-fn kv_trace_csv(policy: PolicyKind) -> String {
+/// The contended DPDK host with the `ceio-trace` CLI's 100 µs sample
+/// window.
+fn trace_host() -> HostConfig {
     let mut host = workloads::contended_host(Transport::Dpdk);
     host.sample_window = Duration::micros(100);
+    host
+}
+
+/// Eight always-on CPU-involved KV flows on `host`, 1 ms warmup, 2 ms
+/// measured, rendered as the `ceio-trace` CSV.
+fn kv_csv(host: HostConfig, policy: PolicyKind) -> String {
     let link = host.net.link_bandwidth;
     let report = run_one(
         host,
@@ -70,6 +81,11 @@ fn kv_trace_csv(policy: PolicyKind) -> String {
         Duration::millis(2),
     );
     series_csv(&report)
+}
+
+/// Exactly the `ceio-trace --scenario kv` configuration at test scale.
+fn kv_trace_csv(policy: PolicyKind) -> String {
+    kv_csv(trace_host(), policy)
 }
 
 #[test]
@@ -102,21 +118,15 @@ fn single_queue_csv_is_reproducible() {
 /// (byte-identical across invocations), and *different* from the
 /// single-queue pipeline — the shards really do change the event
 /// interleaving rather than being renamed bookkeeping.
-fn kv_trace_csv_queues(policy: PolicyKind, queues: usize) -> String {
-    let mut host = workloads::contended_host(Transport::Dpdk);
-    host.sample_window = Duration::micros(100);
+fn multi_queue_host(queues: usize) -> HostConfig {
+    let mut host = trace_host();
     host.num_queues = queues;
     host.nic.queue_issue_gap = Duration::nanos(150);
-    let link = host.net.link_bandwidth;
-    let report = run_one(
-        host,
-        policy,
-        workloads::involved_flows(8, 512, link),
-        workloads::app_factory(AppKind::Kv),
-        Duration::millis(1),
-        Duration::millis(2),
-    );
-    series_csv(&report)
+    host
+}
+
+fn kv_trace_csv_queues(policy: PolicyKind, queues: usize) -> String {
+    kv_csv(multi_queue_host(queues), policy)
 }
 
 #[test]
@@ -129,4 +139,30 @@ fn multi_queue_csv_is_reproducible_and_distinct() {
         a, single,
         "with the issue gap armed, sharding must change the pipeline timing"
     );
+}
+
+/// The four-queue run on the set-associative LLC with `overlap` of the
+/// DDIO ways open to the application antagonist. Its `llc_miss_rate`
+/// column follows every placement and eviction the way model makes.
+fn kv_trace_csv_setassoc(policy: PolicyKind, overlap: u32) -> String {
+    let mut host = multi_queue_host(4);
+    host.mem.llc_model = LlcModelKind::SetAssoc;
+    host.mem.app_overlap_ways = overlap;
+    kv_csv(host, policy)
+}
+
+#[test]
+fn setassoc_multi_queue_baseline_csv_matches_golden() {
+    let csv = kv_trace_csv_setassoc(PolicyKind::Baseline, 0);
+    assert!(csv.lines().count() > 1, "the run must produce samples");
+    check("queue4_kv_baseline_setassoc.csv", &csv);
+}
+
+#[test]
+fn setassoc_overlap_baseline_csv_matches_golden() {
+    // Two DDIO ways shared with the antagonist: application lines evict
+    // I/O buffers, a path no benchmark workload takes.
+    let csv = kv_trace_csv_setassoc(PolicyKind::Baseline, 2);
+    assert!(csv.lines().count() > 1, "the run must produce samples");
+    check("queue4_kv_baseline_setassoc_overlap2.csv", &csv);
 }

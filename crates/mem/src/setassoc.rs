@@ -19,6 +19,11 @@
 //! the I/O-vs-application contention that way-partitioning schemes such as
 //! IOCA and A4 exist to arbitrate.
 //!
+//! Layout (DESIGN.md §15): each way is one `u64` slot word; resident
+//! buffers sit in an arena with their recencies in a dense `Vec`, so LRU
+//! comparisons read no map, and a buffer's lines are found by scanning the
+//! DDIO ways of its consecutive sets rather than kept in a list.
+//!
 //! Determinism: set choice uses a pure multiplicative hash (SplitMix64
 //! finalizer) of the buffer id / antagonist cursor — no ambient state, so
 //! identical traces produce identical placements on every run.
@@ -29,6 +34,7 @@
 //! a time, never the incoming one" — exactly the pool's loop, including the
 //! oversized-buffer over-capacity edge. A proptest pins this.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::llc::{BufferId, LlcStats};
@@ -54,26 +60,20 @@ pub struct SetAssocParams {
     pub app_overlap_ways: usize,
 }
 
-/// What currently owns one way of one set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Owner {
-    /// Never filled, or freed by consume/eviction.
-    Empty,
-    /// A line of the application antagonist stream, with its touch recency.
-    App { touch: u64 },
-    /// One line of a resident I/O buffer.
-    Io(BufferId),
-}
+/// Slot word of a way never filled, or freed by consume/eviction.
+const EMPTY: u64 = 0;
+/// Tag bit of a slot word holding a line of the resident buffer whose arena
+/// index is in the low bits. Other words are antagonist lines, `touch + 1`.
+const IO: u64 = 1 << 63;
 
-/// Per-buffer residency record.
-#[derive(Debug, Clone)]
-struct BufEntry {
-    /// Buffer-level recency (refreshed on lookup, like the pool model).
-    seq: u64,
+/// Per-buffer residency record, at a stable arena index.
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    id: BufferId,
     /// Full buffer size in bytes (occupancy is attributed whole-buffer).
     bytes: u64,
-    /// Flattened `set * total_ways + way` indices of the lines held.
-    slots: Vec<u32>,
+    /// First set of the buffer's consecutive run.
+    base: usize,
 }
 
 /// SplitMix64 finalizer: a pure bijective mixer, fine under the determinism
@@ -89,9 +89,15 @@ fn mix(mut x: u64) -> u64 {
 #[derive(Debug)]
 pub struct SetAssocLlc {
     p: SetAssocParams,
-    /// `sets * total_ways` slots, set-major.
-    slots: Vec<Owner>,
-    entries: BTreeMap<BufferId, BufEntry>,
+    /// `sets * total_ways` slot words, set-major.
+    slots: Vec<u64>,
+    /// Resident buffer id → arena index.
+    index: BTreeMap<BufferId, u32>,
+    /// Arena of residency records; indices in `free` are unused.
+    residents: Vec<Resident>,
+    /// Buffer recency per arena index (refreshed on lookup, like the pool).
+    seqs: Vec<u64>,
+    free: Vec<u32>,
     next_seq: u64,
     /// Antagonist position: hashed to pick its next victim set.
     app_cursor: u64,
@@ -118,17 +124,18 @@ impl SetAssocLlc {
             p.app_overlap_ways <= p.ddio_ways,
             "invariant: overlap cannot exceed the DDIO partition"
         );
-        let slots = vec![Owner::Empty; p.sets * p.total_ways];
-        let ways = p.total_ways;
         SetAssocLlc {
+            slots: vec![EMPTY; p.sets * p.total_ways],
+            way_io_lines: vec![0; p.total_ways],
+            way_app_lines: vec![0; p.total_ways],
             p,
-            slots,
-            entries: BTreeMap::new(),
+            index: BTreeMap::new(),
+            residents: Vec::new(),
+            seqs: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             app_cursor: 0,
             occupancy_bytes: 0,
-            way_io_lines: vec![0; ways],
-            way_app_lines: vec![0; ways],
             stats: LlcStats::default(),
         }
     }
@@ -148,7 +155,7 @@ impl SetAssocLlc {
     /// Number of resident I/O buffers.
     #[inline]
     pub fn resident_count(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Read-only statistics.
@@ -160,7 +167,7 @@ impl SetAssocLlc {
     /// Whether a buffer is currently resident (no statistics side effects).
     #[inline]
     pub fn contains(&self, id: BufferId) -> bool {
-        self.entries.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     /// Per-way line counts for telemetry.
@@ -177,102 +184,87 @@ impl SetAssocLlc {
         &self.p
     }
 
+    /// Slot index of way 0 of the set after the one at `row`, wrapping
+    /// to set 0 after the last set.
     #[inline]
-    fn slot_index(&self, set: usize, way: usize) -> usize {
-        set * self.p.total_ways + way
+    fn next_row(&self, row: usize) -> usize {
+        let next = row + self.p.total_ways;
+        next * usize::from(next < self.slots.len())
     }
 
-    /// Free all lines of a resident buffer; returns its entry. No eviction
-    /// statistics — callers decide whether this is a consume or an eviction.
-    fn release(&mut self, id: BufferId) -> Option<BufEntry> {
-        let e = self.entries.remove(&id)?;
-        for &si in &e.slots {
-            let si = si as usize;
-            debug_assert!(matches!(self.slots[si], Owner::Io(b) if b == id));
-            self.slots[si] = Owner::Empty;
-            self.way_io_lines[si % self.p.total_ways] -= 1;
+    /// Free all lines and occupancy of the buffer at arena index `idx`. No
+    /// map, arena or statistics update — that is the caller's business.
+    fn release(&mut self, idx: usize) -> Resident {
+        let r = self.residents[idx];
+        let tag = IO | idx as u64;
+        let span = r.bytes.div_ceil(LINE_BYTES).clamp(1, self.p.sets as u64);
+        let mut row = r.base * self.p.total_ways;
+        for _ in 0..span {
+            for way in 0..self.p.ddio_ways {
+                if self.slots[row + way] == tag {
+                    self.slots[row + way] = EMPTY;
+                    self.way_io_lines[way] -= 1;
+                }
+            }
+            row = self.next_row(row);
         }
-        self.occupancy_bytes -= e.bytes;
-        Some(e)
+        self.occupancy_bytes -= r.bytes;
+        r
     }
 
-    /// Evict a resident buffer whole (all its lines, possibly in other
-    /// sets), with statistics.
-    fn evict(&mut self, victim: BufferId, by_app: bool, out: &mut Vec<BufferId>) {
-        let e = self
-            .release(victim)
-            .expect("invariant: eviction victim is resident");
+    /// Evict the buffer at arena index `idx` whole, with statistics.
+    fn evict(&mut self, idx: usize, by_app: bool, out: &mut Vec<BufferId>) {
+        let r = self.release(idx);
+        self.index.remove(&r.id);
+        self.free.push(idx as u32);
         self.stats.evictions += 1;
-        self.stats.evicted_bytes += e.bytes;
-        self.stats.eviction_age_sum += self.next_seq - e.seq;
+        self.stats.evicted_bytes += r.bytes;
+        self.stats.eviction_age_sum += self.next_seq - self.seqs[idx];
         if by_app {
             self.stats.app_evictions += 1;
         }
-        out.push(victim);
+        out.push(r.id);
     }
 
-    /// Recency of the owner of one slot, for LRU comparison. `None` means
-    /// the slot must not be chosen (owned by the protected buffer).
-    fn owner_recency(&self, si: usize, protect: Option<BufferId>) -> Option<u64> {
-        match self.slots[si] {
-            Owner::Empty => Some(0),
-            Owner::App { touch } => Some(touch),
-            Owner::Io(b) => {
-                if protect == Some(b) {
-                    None
-                } else {
-                    Some(
-                        self.entries
-                            .get(&b)
-                            .expect("invariant: slot owners are resident")
-                            .seq,
-                    )
-                }
-            }
-        }
-    }
-
-    /// Claim one way in `set` within ways `[lo, hi)`: an empty way if one
-    /// exists, else the LRU owner's way after evicting that owner. Returns
-    /// the claimed slot index, or `None` if every candidate way is owned by
-    /// `protect` (the incoming buffer — DDIO never self-evicts).
+    /// Claim one way in `[lo, hi)` of the set starting at slot `row`, in one
+    /// pass: the first empty way, else the LRU owner's first way after
+    /// evicting that owner (recencies are unique per owner). `None` if every
+    /// candidate holds the `protect` word (DDIO never self-evicts).
     fn claim_way(
         &mut self,
-        set: usize,
+        row: usize,
         lo: usize,
         hi: usize,
-        protect: Option<BufferId>,
+        protect: u64,
         by_app: bool,
         out: &mut Vec<BufferId>,
     ) -> Option<usize> {
-        for way in lo..hi {
-            if self.slots[self.slot_index(set, way)] == Owner::Empty {
-                return Some(self.slot_index(set, way));
-            }
-        }
         let mut victim: Option<(u64, usize)> = None;
         for way in lo..hi {
-            let si = self.slot_index(set, way);
-            if let Some(rec) = self.owner_recency(si, protect) {
-                if victim.is_none_or(|(best, _)| rec < best) {
-                    victim = Some((rec, way));
-                }
+            let word = self.slots[row + way];
+            if word == EMPTY {
+                return Some(way);
+            }
+            let rec = if word & IO != 0 {
+                self.seqs[(word & !IO) as usize]
+            } else {
+                word - 1
+            };
+            if word != protect && victim.is_none_or(|(best, _)| rec < best) {
+                victim = Some((rec, way));
             }
         }
         let (_, way) = victim?;
-        let si = self.slot_index(set, way);
-        match self.slots[si] {
-            Owner::App { .. } => {
-                self.way_app_lines[way] -= 1;
-                self.slots[si] = Owner::Empty;
-            }
+        let word = self.slots[row + way];
+        if word & IO != 0 {
             // Whole-buffer eviction frees this slot (and possibly others).
-            Owner::Io(b) => self.evict(b, by_app, out),
-            // Unreachable: empty ways were claimed before victim selection.
-            Owner::Empty => {}
+            self.evict((word & !IO) as usize, by_app, out);
+        } else {
+            self.way_app_lines[way] -= 1;
+            self.slots[row + way] = EMPTY;
         }
-        debug_assert_eq!(self.slots[si], Owner::Empty);
-        Some(si)
+        debug_assert_eq!(self.slots[row + way], EMPTY);
+        Some(way)
     }
 
     /// Advance the antagonist by `app_lines_per_insert` line touches. Each
@@ -286,15 +278,15 @@ impl SetAssocLlc {
             return; // antagonist has no ways at all
         }
         for _ in 0..self.p.app_lines_per_insert {
-            let set = (mix(self.app_cursor) as usize) % self.p.sets;
+            let row = ((mix(self.app_cursor) as usize) % self.p.sets) * self.p.total_ways;
             self.app_cursor = self.app_cursor.wrapping_add(1);
             let touch = self.next_seq;
             self.next_seq += 1;
-            let si = self
-                .claim_way(set, lo, hi, None, true, out)
+            let way = self
+                .claim_way(row, lo, hi, EMPTY, true, out)
                 .expect("invariant: no protected buffer, so a victim always exists");
-            self.slots[si] = Owner::App { touch };
-            self.way_app_lines[si % self.p.total_ways] += 1;
+            self.slots[row + way] = touch + 1;
+            self.way_app_lines[way] += 1;
         }
     }
 
@@ -309,20 +301,30 @@ impl SetAssocLlc {
         self.stats.insertions += 1;
         let mut evicted = Vec::new();
         self.advance_app(&mut evicted);
-        self.release(id);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let lines = bytes.div_ceil(LINE_BYTES).max(1);
+        let idx = match self.index.entry(id) {
+            Entry::Occupied(e) => {
+                let idx = *e.get() as usize;
+                self.release(idx);
+                idx
+            }
+            Entry::Vacant(e) => *e.insert(self.free.pop().unwrap_or_else(|| {
+                self.residents.push(Resident { id, bytes, base: 0 });
+                self.seqs.push(0);
+                (self.residents.len() - 1) as u32
+            })) as usize,
+        };
         let base = mix(id.0) as usize % self.p.sets;
-        let mut held = Vec::with_capacity(lines as usize);
+        self.residents[idx] = Resident { id, bytes, base };
+        self.seqs[idx] = self.next_seq;
+        self.next_seq += 1;
+        let tag = IO | idx as u64;
+        let mut row = base * self.p.total_ways;
         let mut overflowed = false;
-        for i in 0..lines {
-            let set = (base + i as usize) % self.p.sets;
-            match self.claim_way(set, 0, self.p.ddio_ways, Some(id), false, &mut evicted) {
-                Some(si) => {
-                    self.slots[si] = Owner::Io(id);
-                    self.way_io_lines[si % self.p.total_ways] += 1;
-                    held.push(si as u32);
+        for _ in 0..bytes.div_ceil(LINE_BYTES).max(1) {
+            match self.claim_way(row, 0, self.p.ddio_ways, tag, false, &mut evicted) {
+                Some(way) => {
+                    self.slots[row + way] = tag;
+                    self.way_io_lines[way] += 1;
                 }
                 // Every DDIO way of this set is already held by the incoming
                 // buffer itself: it wraps the index space. The line logically
@@ -330,29 +332,22 @@ impl SetAssocLlc {
                 // partition can hold, mirroring the pool's oversized edge.
                 None => overflowed = true,
             }
+            row = self.next_row(row);
         }
         if overflowed {
             self.stats.over_capacity_events += 1;
         }
         self.occupancy_bytes += bytes;
-        self.entries.insert(
-            id,
-            BufEntry {
-                seq,
-                bytes,
-                slots: held,
-            },
-        );
         evicted
     }
 
     /// CPU lookup of a buffer: records a hit (refreshing buffer-level
     /// recency) or a miss. Returns `true` on hit.
     pub fn lookup(&mut self, id: BufferId) -> bool {
-        match self.entries.get_mut(&id) {
-            Some(e) => {
+        match self.index.get(&id) {
+            Some(&idx) => {
                 self.stats.hits += 1;
-                e.seq = self.next_seq;
+                self.seqs[idx as usize] = self.next_seq;
                 self.next_seq += 1;
                 true
             }
@@ -366,7 +361,10 @@ impl SetAssocLlc {
     /// Remove a buffer the CPU has finished consuming (ownership returned
     /// to the buffer pool). No-op if already evicted.
     pub fn consume(&mut self, id: BufferId) {
-        self.release(id);
+        if let Some(idx) = self.index.remove(&id) {
+            self.release(idx as usize);
+            self.free.push(idx);
+        }
     }
 
     /// A DMA write that bypasses the cache (DDIO disabled): straight to

@@ -208,6 +208,12 @@ for w in kv hop thrash; do
         --workload "$w" --seconds 1 > "$smoke_dir/simbench-$w.txt" \
         || { cat "$smoke_dir/simbench-$w.txt"; echo "simbench smoke: $w failed its output checks"; exit 1; }
 done
+# A seed with no recorded fingerprint, traced: the set-associative LLC
+# still has to conserve packets and give traced == untraced outputs off
+# the recorded path.
+cargo run --release --offline -q --manifest-path simbench/Cargo.toml -- \
+    --workload thrash --seed 2 --trace 1 --seconds 1 > "$smoke_dir/simbench-thrash-seed2.txt" \
+    || { cat "$smoke_dir/simbench-thrash-seed2.txt"; echo "simbench smoke: thrash seed 2 failed its output checks"; exit 1; }
 echo "simbench smoke passed"
 
 echo "All checks passed."
