@@ -70,6 +70,24 @@ fn bench_llc(c: &mut Criterion) {
             i += 1;
         });
     });
+    // The kv fast-path shape: the default 6 MB partition holding about
+    // 3,000 in-flight 512 B buffers. Each iteration inserts one buffer,
+    // then looks up and consumes the one inserted `RESIDENT` earlier, so
+    // the pool stays that deep without evicting.
+    c.bench_function("llc_pool_resident_window", |b| {
+        const RESIDENT: u64 = 3000;
+        let mut llc = IoLlc::new(MemParams::default().ddio_bytes);
+        for i in 0..RESIDENT {
+            llc.insert(BufferId(i), 512);
+        }
+        let mut i = RESIDENT;
+        b.iter(|| {
+            black_box(llc.insert(BufferId(i), 512).len());
+            black_box(llc.lookup(BufferId(i - RESIDENT)));
+            llc.consume(BufferId(i - RESIDENT));
+            i += 1;
+        });
+    });
     c.bench_function("llc_thrash_evictions", |b| {
         let mut llc = IoLlc::new(64 * 2048);
         let mut i = 0u64;

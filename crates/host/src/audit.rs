@@ -113,10 +113,8 @@ impl HostAuditor {
             |st: &HostState| {
                 for (id, f) in &st.flows {
                     let overtaken_ready = f
-                        .ready
-                        .keys()
-                        .next()
-                        .is_some_and(|&seq| seq < f.next_deliver_seq);
+                        .first_ready()
+                        .is_some_and(|(seq, _)| seq < f.next_deliver_seq);
                     let overtaken_slow = f
                         .slow_queue
                         .iter()
@@ -133,10 +131,8 @@ impl HostAuditor {
                                 ("next_deliver_seq", f.next_deliver_seq.to_string()),
                                 (
                                     "min_ready_seq",
-                                    f.ready
-                                        .keys()
-                                        .next()
-                                        .map(u64::to_string)
+                                    f.first_ready()
+                                        .map(|(seq, _)| seq.to_string())
                                         .unwrap_or_else(|| "-".into()),
                                 ),
                                 (
@@ -199,7 +195,7 @@ impl HostAuditor {
             "readiness-index",
             |st: &HostState| {
                 for (id, f) in &st.flows {
-                    let backlog = !f.ready.is_empty() || !f.slow_queue.is_empty();
+                    let backlog = f.ready_len() > 0 || !f.slow_queue.is_empty();
                     if backlog && !st.backlog_marked(*id) {
                         return Err((
                             format!(
@@ -210,7 +206,7 @@ impl HostAuditor {
                             vec![
                                 ("flow", id.0.to_string()),
                                 ("core", f.core.to_string()),
-                                ("ready", f.ready.len().to_string()),
+                                ("ready", f.ready_len().to_string()),
                                 ("slow_queue", f.slow_queue.len().to_string()),
                             ],
                         ));

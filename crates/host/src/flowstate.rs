@@ -4,13 +4,15 @@
 //! queue in on-NIC memory, and an **ordered delivery buffer**: packets are
 //! stamped with a per-flow NIC-arrival sequence number and the driver only
 //! releases the next-in-sequence packet to the application — the software
-//! ring contract of §4.2 without per-packet sorting (in-order arrivals pop
-//! in O(1); a gap simply waits).
+//! ring contract of §4.2 without per-packet sorting. The buffer is a
+//! window indexed by sequence offset from the delivery pointer, so a
+//! retirement, a delivery and a skipped drop are each O(1); a gap simply
+//! waits (DESIGN.md §16).
 
 use ceio_mem::BufferId;
 use ceio_net::{Dctcp, FlowClass, FlowSpec, Packet, TrafficGen};
 use ceio_sim::{Histogram, Time, TimerToken};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A packet retired into host memory, awaiting in-order delivery.
 #[derive(Debug, Clone, Copy)]
@@ -23,6 +25,18 @@ pub struct ReadyPkt {
     pub ready: Time,
     /// Whether the packet travelled the slow path.
     pub via_slow: bool,
+}
+
+/// One slot of the delivery window.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Sequence number taken, packet not retired yet (still in the DMA or
+    /// slow-path pipeline).
+    Hole,
+    /// Retired and readable, awaiting in-order delivery.
+    Ready(ReadyPkt),
+    /// Dropped after taking its sequence number: delivery steps over it.
+    Skipped,
 }
 
 /// A packet parked in on-NIC memory (slow path), awaiting drain.
@@ -82,14 +96,11 @@ pub struct FlowState {
     pub nic_seq_next: u64,
     /// Next sequence number the driver will deliver.
     pub next_deliver_seq: u64,
-    /// Next sequence number the boundary scan will examine (everything
-    /// below is known-contiguous in `ready` or already delivered).
-    scan_next: u64,
-    /// Exclusive upper bound of message-complete delivery (one past the
-    /// last in-order `msg_last` packet seen by the scan).
-    msg_boundary: u64,
-    /// Retired packets keyed by sequence number (ordered delivery buffer).
-    pub ready: BTreeMap<u64, ReadyPkt>,
+    /// Ordered delivery buffer: slot `i` holds sequence
+    /// `next_deliver_seq + i`. Its front is never `Skipped`.
+    window: VecDeque<Slot>,
+    /// Number of `Ready` slots in `window`.
+    ready_len: usize,
     /// Host RX ring occupancy (entries retired, not yet consumed).
     pub ring_occupancy: u32,
     /// Descriptors reserved for packets in DMA flight toward the ring.
@@ -133,9 +144,8 @@ impl FlowState {
             emit_timer: None,
             nic_seq_next: 0,
             next_deliver_seq: 0,
-            scan_next: 0,
-            msg_boundary: 0,
-            ready: BTreeMap::new(),
+            window: VecDeque::new(),
+            ready_len: 0,
             ring_occupancy: 0,
             ring_inflight: 0,
             ring_capacity,
@@ -175,8 +185,74 @@ impl FlowState {
         self.spec.class == FlowClass::CpuBypass
     }
 
+    /// The window slot of sequence `seq`, growing the window with holes.
+    /// `seq` must not be stale.
+    fn slot_mut(&mut self, seq: u64) -> &mut Slot {
+        debug_assert!(
+            seq >= self.next_deliver_seq,
+            "stale sequence {seq} reached the delivery window"
+        );
+        let i = (seq - self.next_deliver_seq) as usize;
+        if i >= self.window.len() {
+            self.window.resize(i + 1, Slot::Hole);
+        }
+        &mut self.window[i]
+    }
+
+    /// Advance the delivery pointer over skipped slots at the front.
+    fn step_over_skipped(&mut self) {
+        while let Some(Slot::Skipped) = self.window.front() {
+            self.window.pop_front();
+            self.next_deliver_seq += 1;
+        }
+    }
+
+    /// Buffer a packet retired into host memory under its NIC-arrival
+    /// sequence number, taking a ring entry unless it came via the slow
+    /// path. The caller filters stale sequences with [`Self::is_stale`].
+    pub(crate) fn insert_ready(&mut self, seq: u64, rp: ReadyPkt) {
+        let slot = self.slot_mut(seq);
+        debug_assert!(matches!(slot, Slot::Hole), "sequence {seq} retired twice");
+        *slot = Slot::Ready(rp);
+        self.ready_len += 1;
+        if !rp.via_slow {
+            self.ring_occupancy += 1;
+        }
+    }
+
+    /// Record that the packet holding sequence `seq` was dropped before it
+    /// retired, so delivery steps over it instead of waiting forever. A
+    /// skipped slot holds no ring entry and is no pending work (the drop
+    /// is already accounted). No-op for a stale sequence.
+    pub(crate) fn skip(&mut self, seq: u64) {
+        if self.is_stale(seq) {
+            return;
+        }
+        *self.slot_mut(seq) = Slot::Skipped;
+        self.step_over_skipped();
+    }
+
+    /// Number of retired packets awaiting delivery.
+    #[inline]
+    pub fn ready_len(&self) -> usize {
+        self.ready_len
+    }
+
+    /// The lowest-sequence retired packet awaiting delivery, if any.
+    pub fn first_ready(&self) -> Option<(u64, &ReadyPkt)> {
+        if self.ready_len == 0 {
+            return None;
+        }
+        (self.next_deliver_seq..)
+            .zip(&self.window)
+            .find_map(|(seq, slot)| match slot {
+                Slot::Ready(rp) => Some((seq, rp)),
+                _ => None,
+            })
+    }
+
     /// Collect the deliverable batch at `now`: the in-sequence prefix of
-    /// `ready` whose data is readable, at most `max` packets.
+    /// the delivery window whose data is readable, at most `max` packets.
     ///
     /// Delivery is per-packet for both flow classes — LineFS-style bypass
     /// consumers pipeline on arriving data. The write-with-immediate
@@ -186,33 +262,22 @@ impl FlowState {
     ///
     /// Returns the packets removed from the buffer, in delivery order.
     pub fn take_deliverable(&mut self, now: Time, max: usize) -> Vec<ReadyPkt> {
-        // Advance the boundary scan over the contiguous in-order prefix.
-        // Packets are inserted into `ready` at the instant they become
-        // readable, so a present entry is always readable at a later poll.
-        while let Some(rp) = self.ready.get(&self.scan_next) {
-            if rp.pkt.msg_last {
-                self.msg_boundary = self.scan_next + 1;
-            }
-            self.scan_next += 1;
-        }
-        let limit = self.scan_next;
-
         let mut out: Vec<ReadyPkt> = Vec::new();
-        while out.len() < max && self.next_deliver_seq < limit {
-            match self.ready.get(&self.next_deliver_seq) {
-                Some(rp) if rp.ready <= now => {
-                    let rp = *rp;
-                    self.ready.remove(&self.next_deliver_seq);
-                    self.next_deliver_seq += 1;
-                    // Slow-path packets never held a fast-ring descriptor.
-                    if !rp.via_slow {
-                        debug_assert!(self.ring_occupancy > 0);
-                        self.ring_occupancy = self.ring_occupancy.saturating_sub(1);
-                    }
-                    out.push(rp);
-                }
+        while out.len() < max {
+            let rp = match self.window.front() {
+                Some(Slot::Ready(rp)) if rp.ready <= now => *rp,
                 _ => break,
+            };
+            self.window.pop_front();
+            self.next_deliver_seq += 1;
+            self.ready_len -= 1;
+            // Slow-path packets never held a fast-ring descriptor.
+            if !rp.via_slow {
+                debug_assert!(self.ring_occupancy > 0);
+                self.ring_occupancy = self.ring_occupancy.saturating_sub(1);
             }
+            out.push(rp);
+            self.step_over_skipped();
         }
         out
     }
@@ -223,12 +288,17 @@ impl FlowState {
     /// still in DMA flight are skipped on arrival because their sequence
     /// numbers fall below the advanced delivery pointer.
     pub fn teardown_backlog(&mut self) -> (Vec<ReadyPkt>, u64) {
-        let drained: Vec<ReadyPkt> = self.ready.values().copied().collect();
+        let drained: Vec<ReadyPkt> = self
+            .window
+            .drain(..)
+            .filter_map(|slot| match slot {
+                Slot::Ready(rp) => Some(rp),
+                _ => None,
+            })
+            .collect();
+        self.ready_len = 0;
         self.accounted += drained.len() as u64 + self.slow_queue.len() as u64;
-        self.ready.clear();
         self.next_deliver_seq = self.nic_seq_next;
-        self.scan_next = self.nic_seq_next;
-        self.msg_boundary = self.nic_seq_next;
         self.ring_occupancy = 0;
         let parked: u64 = self.slow_queue.iter().map(|sp| sp.pkt.bytes).sum();
         self.slow_queue.clear();
@@ -245,7 +315,7 @@ impl FlowState {
     /// when an inactive flow's core may stop polling). Includes packets
     /// still in the network/DMA pipeline, which no local queue shows yet.
     pub fn has_pending_work(&self) -> bool {
-        !self.ready.is_empty()
+        self.ready_len > 0
             || !self.slow_queue.is_empty()
             || self.ring_inflight > 0
             || self.slow_fetch_inflight > 0
@@ -258,6 +328,8 @@ mod tests {
     use super::*;
     use ceio_net::{FlowClass, FlowId, PacketId};
     use ceio_sim::{Bandwidth, Duration, Rng};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn mk_flow(class: FlowClass) -> FlowState {
         let spec = FlowSpec::new(0, class, 512, 4, Bandwidth::gbps(25));
@@ -291,9 +363,7 @@ mod tests {
     }
 
     fn insert(f: &mut FlowState, rp: ReadyPkt) {
-        let seq = rp.pkt.id.0;
-        f.ready.insert(seq, rp);
-        f.ring_occupancy += 1;
+        f.insert_ready(rp.pkt.id.0, rp);
     }
 
     #[test]
@@ -366,6 +436,31 @@ mod tests {
     }
 
     #[test]
+    fn skipped_sequence_is_stepped_over() {
+        let mut f = mk_flow(FlowClass::CpuInvolved);
+        insert(&mut f, ready_pkt(1, 0, 1, false, Time(0)));
+        insert(&mut f, ready_pkt(3, 0, 3, false, Time(0)));
+        // Sequence 2 dropped before retiring: held behind the hole at 0.
+        f.skip(2);
+        assert_eq!(f.next_deliver_seq, 0);
+        assert_eq!((f.ready_len(), f.ring_occupancy), (2, 2));
+        // Sequence 0 dropped too: delivery steps straight to 1.
+        f.skip(0);
+        assert_eq!(f.next_deliver_seq, 1);
+        assert_eq!(f.first_ready().map(|(seq, _)| seq), Some(1));
+        let got = f.take_deliverable(Time(1), 1);
+        assert_eq!(got[0].pkt.id.0, 1);
+        // The batch limit was reached, but the skipped 2 is stepped over.
+        assert_eq!(f.next_deliver_seq, 3);
+        assert_eq!(f.take_deliverable(Time(1), 16).len(), 1);
+        assert_eq!(f.next_deliver_seq, 4);
+        assert!(!f.has_pending_work());
+        // A stale sequence is ignored.
+        f.skip(1);
+        assert_eq!(f.next_deliver_seq, 4);
+    }
+
+    #[test]
     fn pending_work_detection() {
         let mut f = mk_flow(FlowClass::CpuInvolved);
         assert!(!f.has_pending_work());
@@ -374,5 +469,174 @@ mod tests {
         f.slow_fetch_inflight = 0;
         insert(&mut f, ready_pkt(0, 0, 0, false, Time(0)));
         assert!(f.has_pending_work());
+    }
+
+    /// The delivery buffer as it was before the window: a `BTreeMap` keyed
+    /// by sequence, a boundary scan over its contiguous prefix, and the
+    /// delivery loop below that boundary. Extended only by the skip rule:
+    /// a skipped sequence counts as present for the scan and the delivery
+    /// pointer steps over it as soon as it reaches it.
+    #[derive(Default)]
+    struct Reference {
+        ready: BTreeMap<u64, ReadyPkt>,
+        skipped: BTreeSet<u64>,
+        next_deliver_seq: u64,
+        scan_next: u64,
+        ring_occupancy: u32,
+    }
+
+    impl Reference {
+        fn settle(&mut self) {
+            while self.skipped.remove(&self.next_deliver_seq) {
+                self.next_deliver_seq += 1;
+            }
+            self.scan_next = self.scan_next.max(self.next_deliver_seq);
+        }
+
+        fn insert(&mut self, seq: u64, rp: ReadyPkt) {
+            self.ready.insert(seq, rp);
+            if !rp.via_slow {
+                self.ring_occupancy += 1;
+            }
+        }
+
+        fn skip(&mut self, seq: u64) {
+            self.skipped.insert(seq);
+            self.settle();
+        }
+
+        fn take_deliverable(&mut self, now: Time, max: usize) -> Vec<ReadyPkt> {
+            while self.ready.contains_key(&self.scan_next) || self.skipped.contains(&self.scan_next)
+            {
+                self.scan_next += 1;
+            }
+            let limit = self.scan_next;
+            let mut out = Vec::new();
+            while out.len() < max && self.next_deliver_seq < limit {
+                match self.ready.get(&self.next_deliver_seq) {
+                    Some(rp) if rp.ready <= now => {
+                        let rp = *rp;
+                        self.ready.remove(&self.next_deliver_seq);
+                        self.next_deliver_seq += 1;
+                        if !rp.via_slow {
+                            self.ring_occupancy -= 1;
+                        }
+                        out.push(rp);
+                        self.settle();
+                    }
+                    _ => break,
+                }
+            }
+            out
+        }
+
+        fn teardown_backlog(&mut self, nic_seq_next: u64) -> Vec<ReadyPkt> {
+            let drained = self.ready.values().copied().collect();
+            self.ready.clear();
+            self.skipped.clear();
+            self.next_deliver_seq = nic_seq_next;
+            self.scan_next = nic_seq_next;
+            self.ring_occupancy = 0;
+            drained
+        }
+    }
+
+    /// One step of a random delivery trace.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// The next packet in arrival order retires (or is dropped).
+        Arrive,
+        /// A driver poll at `now` taking at most `max` packets.
+        Take(u64, usize),
+        /// Connection teardown.
+        Teardown,
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            6 => Just(Step::Arrive),
+            4 => (0u64..120, 0usize..8).prop_map(|(now, max)| Step::Take(now, max)),
+            1 => Just(Step::Teardown),
+        ]
+    }
+
+    /// Delivery order, batch contents and bookkeeping of two buffers.
+    fn same(rp: &[ReadyPkt], rr: &[ReadyPkt]) -> bool {
+        rp.len() == rr.len()
+            && rp.iter().zip(rr).all(|(a, b)| {
+                (a.pkt.id, a.buf, a.ready, a.via_slow) == (b.pkt.id, b.buf, b.ready, b.via_slow)
+            })
+    }
+
+    fn agree(f: &FlowState, r: &Reference) -> Result<(), TestCaseError> {
+        prop_assert_eq!(f.next_deliver_seq, r.next_deliver_seq);
+        prop_assert_eq!(f.ring_occupancy, r.ring_occupancy);
+        prop_assert_eq!(f.ready_len(), r.ready.len());
+        prop_assert_eq!(f.has_pending_work(), !r.ready.is_empty());
+        prop_assert_eq!(
+            f.first_ready().map(|(seq, rp)| (seq, rp.pkt.id)),
+            r.ready.iter().next().map(|(&seq, rp)| (seq, rp.pkt.id))
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random arrival permutations of fast and slow packets — gaps,
+        /// late fills, drops, polls at any time with any batch limit and
+        /// teardowns with holes — observe no difference between the window
+        /// and the ordered-map reference.
+        #[test]
+        fn window_matches_ordered_map_reference(
+            pkts in prop::collection::vec(
+                (0u64..100, any::<bool>(), 0u32..8, any::<u64>()),
+                1..48,
+            ),
+            steps in prop::collection::vec(step_strategy(), 1..160)
+        ) {
+            // Arrival order: a permutation of the sequence numbers.
+            let mut order: Vec<u64> = (0..pkts.len() as u64).collect();
+            order.sort_by_key(|&seq| (pkts[seq as usize].3, seq));
+            let mut arrivals = order.into_iter();
+            let mut f = mk_flow(FlowClass::CpuInvolved);
+            let mut r = Reference::default();
+            for step in steps.iter().cloned().chain([Step::Take(u64::MAX, usize::MAX)]) {
+                match step {
+                    Step::Arrive => {
+                        let Some(seq) = arrivals.next() else { continue };
+                        while f.nic_seq_next <= seq {
+                            f.take_seq();
+                        }
+                        prop_assert_eq!(f.is_stale(seq), seq < r.next_deliver_seq);
+                        if f.is_stale(seq) {
+                            continue;
+                        }
+                        let (ready, via_slow, fate, _) = pkts[seq as usize];
+                        if fate == 0 {
+                            f.skip(seq);
+                            r.skip(seq);
+                        } else {
+                            let mut rp = ready_pkt(seq, 0, seq as u32, false, Time(ready));
+                            rp.via_slow = via_slow;
+                            f.insert_ready(seq, rp);
+                            r.insert(seq, rp);
+                        }
+                    }
+                    Step::Take(now, max) => {
+                        let got = f.take_deliverable(Time(now), max);
+                        let want = r.take_deliverable(Time(now), max);
+                        prop_assert!(same(&got, &want), "batch {:?} != {:?}", got, want);
+                    }
+                    Step::Teardown => {
+                        let (got, parked) = f.teardown_backlog();
+                        let want = r.teardown_backlog(f.nic_seq_next);
+                        prop_assert!(same(&got, &want), "drained {:?} != {:?}", got, want);
+                        prop_assert_eq!(parked, 0);
+                    }
+                }
+                agree(&f, &r)?;
+            }
+        }
     }
 }

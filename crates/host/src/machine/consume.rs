@@ -156,7 +156,7 @@ impl<P: IoPolicy> Machine<P> {
             .st
             .flows
             .get(&flow)
-            .is_none_or(|f| f.ready.is_empty() && f.slow_queue.is_empty());
+            .is_none_or(|f| f.ready_len() == 0 && f.slow_queue.is_empty());
         if idle {
             self.st.core_svc[core].unmark(slot);
         }
@@ -219,10 +219,8 @@ impl<P: IoPolicy> Machine<P> {
                         .expect("invariant: every listed flow has state in `self.st.flows`");
                     let batch = f.take_deliverable(now, batch_size);
                     let gap_stall = batch.is_empty()
-                        && f.ready
-                            .first_key_value()
-                            .map(|(&seq, rp)| seq != f.next_deliver_seq && rp.ready <= now)
-                            .unwrap_or(false);
+                        && f.first_ready()
+                            .is_some_and(|(seq, rp)| seq != f.next_deliver_seq && rp.ready <= now);
                     (batch, gap_stall, f.spec.class)
                 };
                 if !batch.is_empty() {

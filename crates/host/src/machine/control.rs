@@ -242,11 +242,7 @@ impl<P: IoPolicy> Machine<P> {
                 // Target partition full (or no healthy queue): head-drop
                 // with full loss accounting so nothing is stranded.
                 self.st.failover.head_dropped_pkts += 1;
-                if let Some(f) = self.st.flows.get_mut(&pd.pkt.flow) {
-                    f.ring_inflight = f.ring_inflight.saturating_sub(1);
-                }
-                self.st.account_drop(now, pd.pkt.flow, pd.pkt.bytes, true);
-                self.policy.on_fast_drop(&mut self.st, now, pd.pkt.flow);
+                self.drop_staged(now, &pd);
             }
         }
         self.policy.on_queue_failed(&mut self.st, now, QueueId(q));

@@ -170,17 +170,13 @@ impl<P: IoPolicy> Machine<P> {
                             .expect("invariant: loop guard ensured queue staging is non-empty");
                         self.st.rxq[q].pending_bytes -= bytes;
                         self.st.recovery.dma_retry_drops += 1;
-                        if let Some(f) = self.st.flows.get_mut(&pd.pkt.flow) {
-                            f.ring_inflight = f.ring_inflight.saturating_sub(1);
-                        }
                         self.st.trace_event(
                             now,
                             Some(pd.pkt.flow.0),
                             TraceKind::DmaRetryDrop,
                             pd.pkt.bytes,
                         );
-                        self.st.account_drop(now, pd.pkt.flow, pd.pkt.bytes, true);
-                        self.policy.on_fast_drop(&mut self.st, now, pd.pkt.flow);
+                        self.drop_staged(now, &pd);
                         continue;
                     }
                     let timed_out = matches!(err, DmaError::WriteTimeout | DmaError::ReadTimeout);
@@ -197,6 +193,19 @@ impl<P: IoPolicy> Machine<P> {
                 }
             }
         }
+    }
+
+    /// Drop a staged fast-path packet that will never be issued: free its
+    /// ring reservation, let delivery step over the sequence number it
+    /// took at `NicRx` (otherwise every later packet of its flow would
+    /// wait behind the hole forever), and account the loss.
+    pub(super) fn drop_staged(&mut self, now: Time, pd: &PendingDma) {
+        if let Some(f) = self.st.flows.get_mut(&pd.pkt.flow) {
+            f.ring_inflight = f.ring_inflight.saturating_sub(1);
+            f.skip(pd.nic_seq);
+        }
+        self.st.account_drop(now, pd.pkt.flow, pd.pkt.bytes, true);
+        self.policy.on_fast_drop(&mut self.st, now, pd.pkt.flow);
     }
 
     /// Pump every receive queue, ascending. With one queue this is exactly
@@ -283,10 +292,7 @@ impl<P: IoPolicy> Machine<P> {
                 f.accounted += 1;
                 self.st.memctrl.consume(buf);
             } else {
-                if !via_slow {
-                    f.ring_occupancy += 1;
-                }
-                f.ready.insert(
+                f.insert_ready(
                     nic_seq,
                     crate::flowstate::ReadyPkt {
                         pkt,

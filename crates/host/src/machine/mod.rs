@@ -7,7 +7,7 @@
 //! Emit ─▶ (ingress link: serialize, ECN/drop) ─▶ NicRx
 //!   NicRx: RMT/policy steer
 //!     FastPath ─▶ [DMA credit + pacing] ─▶ HostArrive (IIO stage)
-//!                   ─▶ HostRetire (LLC/DRAM retire) ─▶ flow.ready
+//!                   ─▶ HostRetire (LLC/DRAM retire) ─▶ flow delivery window
 //!     SlowPath ─▶ on-NIC memory ─▶ flow.slow_queue (await driver drain)
 //!     Drop     ─▶ loss feedback to DCTCP
 //!   CorePoll: driver poll hook (slow drain) + in-order batch delivery to

@@ -344,6 +344,55 @@ mod chaos {
     }
 
     #[test]
+    fn dropped_write_never_holds_back_later_packets() {
+        // Heavy but not total write faults: some packets exhaust their
+        // retry budget and are dropped after taking a NIC-arrival sequence
+        // number. Delivery must step over each dropped sequence; before,
+        // every later packet of the flow waited behind the hole forever
+        // (and the core polled forever on an ordering stall).
+        let plan = FaultPlan::new(3).with_rate(FaultSite::DmaWriteFault, 0.8);
+        let mut sim = Machine::build(
+            HostConfig::default(),
+            UnmanagedPolicy,
+            one_flow_scenario(1).build(),
+            cheap(),
+        );
+        sim.model.arm_chaos(&plan);
+        let horizon = Time::ZERO + Duration::millis(40);
+        // Step to the first retry drop and note the deliveries so far.
+        while sim.model.st.recovery.dma_retry_drops == 0 {
+            sim.run_until(horizon, 1);
+            assert!(
+                sim.now() < horizon,
+                "the fault rate must exhaust a retry budget"
+            );
+        }
+        let consumed_at_first_drop = sim
+            .model
+            .st
+            .flows
+            .values()
+            .next()
+            .unwrap()
+            .counters
+            .consumed_pkts;
+        sim.run_until(horizon, u64::MAX);
+        let st = &sim.model.st;
+        let f = st.flows.values().next().unwrap();
+        assert!(
+            f.counters.consumed_pkts > consumed_at_first_drop,
+            "delivery continues past the first dropped sequence"
+        );
+        assert_eq!(
+            f.gen.emitted(),
+            f.counters.consumed_pkts + st.dropped_total,
+            "every emitted packet is delivered or dropped"
+        );
+        assert_eq!(f.ready_len(), 0, "nothing is left in the delivery buffer");
+        assert!(!f.has_pending_work(), "the flow drained completely");
+    }
+
+    #[test]
     fn read_faults_delay_but_never_lose_parked_packets() {
         // Slow-path steering with flaky DMA reads: fetches back off and
         // retry; parked packets are delayed, never dropped.

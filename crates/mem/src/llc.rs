@@ -8,7 +8,7 @@
 //! that span 32 sets each, so we model the partition as a single LRU pool of
 //! variable-size buffer entries with byte-accurate occupancy.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 use serde::Serialize;
 
@@ -61,23 +61,45 @@ impl LlcStats {
     }
 }
 
-#[derive(Debug, Clone)]
+/// End-of-list marker for the intrusive LRU links.
+const NIL: u32 = u32::MAX;
+
+/// One resident buffer: an arena slot threaded on the LRU list.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
-    seq: u64,
+    id: BufferId,
     bytes: u64,
+    /// Recency sequence of the last write or hit; unique and increasing
+    /// along the list, so the list order is the order of `seq`.
+    seq: u64,
+    /// Next older entry (towards the head), or `NIL`.
+    prev: u32,
+    /// Next newer entry (towards the tail), or `NIL`.
+    next: u32,
 }
 
 /// The DDIO-reachable LLC partition: an LRU pool of I/O buffer entries.
+///
+/// Residents live in an arena threaded on an intrusive doubly linked list,
+/// least recent at the head (DESIGN.md §16). Every write or hit takes a
+/// fresh, strictly increasing recency sequence and moves its entry to the
+/// tail, so the list is always in sequence order and the head is the
+/// resident with the smallest sequence: the LRU victim.
 #[derive(Debug)]
 pub struct IoLlc {
     capacity_bytes: u64,
     occupancy_bytes: u64,
     next_seq: u64,
-    /// BufferId -> entry metadata (ordered, so any future iteration is
-    /// deterministic; lookups are O(log n) on a map that stays small).
-    entries: BTreeMap<BufferId, Entry>,
-    /// LRU order: recency sequence -> BufferId (smallest = oldest).
-    order: BTreeMap<u64, BufferId>,
+    /// BufferId -> arena index (ordered, so any future iteration is
+    /// deterministic); touched once per call, plus once per eviction.
+    index: BTreeMap<BufferId, u32>,
+    /// Arena of residents; indices in `free` are unused.
+    entries: Vec<Entry>,
+    free: Vec<u32>,
+    /// Least recently written/used entry, or `NIL` when empty.
+    head: u32,
+    /// Most recently written/used entry, or `NIL` when empty.
+    tail: u32,
     stats: LlcStats,
 }
 
@@ -88,8 +110,11 @@ impl IoLlc {
             capacity_bytes,
             occupancy_bytes: 0,
             next_seq: 0,
-            entries: BTreeMap::new(),
-            order: BTreeMap::new(),
+            index: BTreeMap::new(),
+            entries: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             stats: LlcStats::default(),
         }
     }
@@ -109,7 +134,7 @@ impl IoLlc {
     /// Number of resident buffers.
     #[inline]
     pub fn resident_count(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Read-only statistics.
@@ -121,7 +146,40 @@ impl IoLlc {
     /// Whether a buffer is currently resident (no statistics side effects).
     #[inline]
     pub fn contains(&self, id: BufferId) -> bool {
-        self.entries.contains_key(&id)
+        self.index.contains_key(&id)
+    }
+
+    /// Take the next recency sequence.
+    #[inline]
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Detach entry `idx` from the LRU list.
+    fn unlink(&mut self, idx: u32) {
+        let Entry { prev, next, .. } = self.entries[idx as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.entries[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.entries[n as usize].prev = prev,
+        }
+    }
+
+    /// Append entry `idx` at the most-recent end of the LRU list.
+    fn push_back(&mut self, idx: u32) {
+        let e = &mut self.entries[idx as usize];
+        e.prev = self.tail;
+        e.next = NIL;
+        match self.tail {
+            NIL => self.head = idx,
+            t => self.entries[t as usize].next = idx,
+        }
+        self.tail = idx;
     }
 
     /// DDIO insertion of a DMA-written buffer. Returns the buffers evicted
@@ -131,38 +189,46 @@ impl IoLlc {
     /// size (a buffer reused for a new packet).
     pub fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
         self.stats.insertions += 1;
-        if let Some(old) = self.entries.remove(&id) {
-            self.order.remove(&old.seq);
-            self.occupancy_bytes -= old.bytes;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(id, Entry { seq, bytes });
-        self.order.insert(seq, id);
+        let seq = self.take_seq();
+        let entry = Entry {
+            id,
+            bytes,
+            seq,
+            prev: NIL,
+            next: NIL,
+        };
+        let idx = match self.index.entry(id) {
+            btree_map::Entry::Occupied(o) => {
+                let idx = *o.get();
+                self.unlink(idx);
+                self.occupancy_bytes -= self.entries[idx as usize].bytes;
+                idx
+            }
+            btree_map::Entry::Vacant(v) => *v.insert(self.free.pop().unwrap_or_else(|| {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            })),
+        };
+        self.entries[idx as usize] = entry;
+        self.push_back(idx);
         self.occupancy_bytes += bytes;
 
         let mut evicted = Vec::new();
-        while self.occupancy_bytes > self.capacity_bytes && self.entries.len() > 1 {
-            // Evict the least recently written/used entry, but never the one
-            // just inserted (DDIO always lands the incoming line).
-            let (&oldest_seq, &victim) = self
-                .order
-                .iter()
-                .next()
-                .expect("invariant: occupancy > 0 implies `order` is non-empty");
-            if victim == id {
-                break;
-            }
-            self.order.remove(&oldest_seq);
-            let e = self
-                .entries
-                .remove(&victim)
-                .expect("invariant: `order` and `entries` index the same set of buffers");
+        while self.occupancy_bytes > self.capacity_bytes && self.index.len() > 1 {
+            // Evict the least recently written/used entry. The incoming
+            // buffer sits at the tail and more than one entry is resident,
+            // so the head is never it (DDIO always lands the incoming line).
+            let victim = self.head;
+            debug_assert_ne!(victim, idx);
+            self.unlink(victim);
+            let e = self.entries[victim as usize];
+            self.index.remove(&e.id);
+            self.free.push(victim);
             self.occupancy_bytes -= e.bytes;
             self.stats.evictions += 1;
             self.stats.evicted_bytes += e.bytes;
-            self.stats.eviction_age_sum += self.next_seq - oldest_seq;
-            evicted.push(victim);
+            self.stats.eviction_age_sum += self.next_seq - e.seq;
+            evicted.push(e.id);
         }
         if self.occupancy_bytes > self.capacity_bytes {
             // Nothing left to evict around the incoming buffer: it alone
@@ -176,18 +242,13 @@ impl IoLlc {
     /// CPU lookup of a buffer: records a hit (refreshing recency) or a miss.
     /// Returns `true` on hit.
     pub fn lookup(&mut self, id: BufferId) -> bool {
-        match self.entries.get(&id).map(|e| e.seq) {
-            Some(seq) => {
+        match self.index.get(&id) {
+            Some(&idx) => {
                 self.stats.hits += 1;
                 // Refresh recency.
-                self.order.remove(&seq);
-                let new_seq = self.next_seq;
-                self.next_seq += 1;
-                self.order.insert(new_seq, id);
-                self.entries
-                    .get_mut(&id)
-                    .expect("invariant: entry was present in the `Some` arm above")
-                    .seq = new_seq;
+                self.unlink(idx);
+                self.entries[idx as usize].seq = self.take_seq();
+                self.push_back(idx);
                 true
             }
             None => {
@@ -200,9 +261,10 @@ impl IoLlc {
     /// Remove a buffer the CPU has finished consuming (ownership returned to
     /// the buffer pool). No-op if already evicted.
     pub fn consume(&mut self, id: BufferId) {
-        if let Some(e) = self.entries.remove(&id) {
-            self.order.remove(&e.seq);
-            self.occupancy_bytes -= e.bytes;
+        if let Some(idx) = self.index.remove(&id) {
+            self.unlink(idx);
+            self.free.push(idx);
+            self.occupancy_bytes -= self.entries[idx as usize].bytes;
         }
     }
 

@@ -209,11 +209,14 @@ for w in kv hop thrash; do
         || { cat "$smoke_dir/simbench-$w.txt"; echo "simbench smoke: $w failed its output checks"; exit 1; }
 done
 # A seed with no recorded fingerprint, traced: the set-associative LLC
-# still has to conserve packets and give traced == untraced outputs off
-# the recorded path.
-cargo run --release --offline -q --manifest-path simbench/Cargo.toml -- \
-    --workload thrash --seed 2 --trace 1 --seconds 1 > "$smoke_dir/simbench-thrash-seed2.txt" \
-    || { cat "$smoke_dir/simbench-thrash-seed2.txt"; echo "simbench smoke: thrash seed 2 failed its output checks"; exit 1; }
+# (thrash), the pool LLC and the delivery window (kv) still have to
+# conserve packets and give traced == untraced outputs off the recorded
+# path.
+for w in thrash kv; do
+    cargo run --release --offline -q --manifest-path simbench/Cargo.toml -- \
+        --workload "$w" --seed 2 --trace 1 --seconds 1 > "$smoke_dir/simbench-$w-seed2.txt" \
+        || { cat "$smoke_dir/simbench-$w-seed2.txt"; echo "simbench smoke: $w seed 2 failed its output checks"; exit 1; }
+done
 echo "simbench smoke passed"
 
 echo "All checks passed."
