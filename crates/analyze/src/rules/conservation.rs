@@ -22,6 +22,7 @@ const LEDGER_TYPES: &[&str] = &["CreditManager", "ShardedCredits"];
 /// Scalar ledger fields of the Eq. 1 balance.
 const LEDGER_FIELDS: &[&str] = &[
     "credits",
+    "assigned",
     "owed",
     "free_pool",
     "outstanding",

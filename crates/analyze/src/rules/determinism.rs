@@ -7,6 +7,11 @@
 //! per process, so a sweep over one silently varies run-to-run even with a
 //! fixed seed — the bug class this rule eliminates at lint time rather
 //! than via golden-file flakes.
+//!
+//! A hash type is `HashMap`/`HashSet` or any `type` alias, in the scoped
+//! crates, whose definition names one (directly or through another such
+//! alias), so `type Index = HashMap<…>` cannot hide a field or local from
+//! the rule.
 
 use std::collections::BTreeSet;
 
@@ -38,9 +43,11 @@ const AMBIENT: &[&str] = &["SystemTime", "thread_rng", "RandomState", "DefaultHa
 pub fn check(units: &[Unit]) -> Vec<Finding> {
     let mut findings = Vec::new();
 
-    // Field names with hash-based types, collected across the whole scope:
-    // methods usually live beside the struct, but cross-file access via a
-    // public field must be caught too.
+    // Hash-type aliases, then field names with hash-based types, both
+    // collected across the whole scope: methods usually live beside the
+    // struct, but cross-file access via a public field (or an alias
+    // defined in another crate) must be caught too.
+    let aliases = hash_aliases(units);
     let mut hash_fields: BTreeSet<String> = BTreeSet::new();
     for u in units {
         if !SCOPE.contains(&u.src.crate_name.as_str()) {
@@ -51,7 +58,10 @@ pub fn check(units: &[Unit]) -> Vec<Finding> {
                 continue;
             }
             for f in &s.fields {
-                if f.ty.contains("HashMap") || f.ty.contains("HashSet") {
+                let via_alias =
+                    f.ty.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                        .any(|w| aliases.contains(w));
+                if f.ty.contains("HashMap") || f.ty.contains("HashSet") || via_alias {
                     hash_fields.insert(f.name.clone());
                 }
             }
@@ -67,7 +77,7 @@ pub fn check(units: &[Unit]) -> Vec<Finding> {
                 continue;
             }
             let toks = body(&u.pf, f);
-            let locals = hash_locals(toks);
+            let locals = hash_locals(toks, &aliases);
             let in_scope = |name: &str| hash_fields.contains(name) || locals.contains(name);
 
             let mut i = 0usize;
@@ -186,8 +196,62 @@ pub fn check(units: &[Unit]) -> Vec<Finding> {
     findings
 }
 
-/// Local `let` bindings with hash-based types in a body.
-fn hash_locals(toks: &[super::Tok]) -> BTreeSet<String> {
+/// Names of `type` aliases in the scoped crates whose right-hand side
+/// names `HashMap`/`HashSet` or another such alias (to a fixed point, so
+/// chains of aliases resolve in any declaration order).
+fn hash_aliases(units: &[Unit]) -> BTreeSet<String> {
+    // (alias, identifiers of its definition)
+    let mut defs: Vec<(String, Vec<String>)> = Vec::new();
+    for u in units {
+        if !SCOPE.contains(&u.src.crate_name.as_str()) {
+            continue;
+        }
+        let toks = &u.pf.toks;
+        for i in 0..toks.len() {
+            if !toks[i].is_ident("type") {
+                continue;
+            }
+            let Some(name) = ident_text(toks, i + 1) else {
+                continue;
+            };
+            // Skip generics to the `=`; an associated type declaration in
+            // a trait (`type Item;`) has none.
+            let mut j = i + 2;
+            while j < toks.len() && !toks[j].is_punct('=') && !toks[j].is_punct(';') {
+                j += 1;
+            }
+            if !punct_at(toks, j, '=') {
+                continue;
+            }
+            let rhs = toks[j + 1..]
+                .iter()
+                .take_while(|t| !t.is_punct(';'))
+                .filter(|t| t.kind == TokKind::Ident)
+                .map(|t| t.text.clone())
+                .collect();
+            defs.push((name.to_string(), rhs));
+        }
+    }
+    let mut out: BTreeSet<String> = BTreeSet::new();
+    loop {
+        let before = out.len();
+        for (name, rhs) in &defs {
+            if rhs
+                .iter()
+                .any(|w| w == "HashMap" || w == "HashSet" || out.contains(w))
+            {
+                out.insert(name.clone());
+            }
+        }
+        if out.len() == before {
+            return out;
+        }
+    }
+}
+
+/// Local `let` bindings with hash-based types (including hash aliases) in
+/// a body.
+fn hash_locals(toks: &[super::Tok], aliases: &BTreeSet<String>) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     let mut i = 0usize;
     while i < toks.len() {
@@ -212,7 +276,10 @@ fn hash_locals(toks: &[super::Tok]) -> BTreeSet<String> {
                         }
                     } else if t.is_punct(';') && depth == 0 {
                         break;
-                    } else if t.is_ident("HashMap") || t.is_ident("HashSet") {
+                    } else if t.is_ident("HashMap")
+                        || t.is_ident("HashSet")
+                        || (t.kind == TokKind::Ident && aliases.contains(&t.text))
+                    {
                         is_hash = true;
                     }
                     k += 1;

@@ -16,6 +16,7 @@ fn src(rel: &str, crate_name: &str, text: &str) -> SourceFile {
 }
 
 const DETERMINISM: &str = include_str!("../fixtures/determinism_bad.rs");
+const DETERMINISM_ALIAS: &str = include_str!("../fixtures/determinism_alias_bad.rs");
 const CONSERVATION: &str = include_str!("../fixtures/conservation_bad.rs");
 const CONSERVATION_CALLER: &str = include_str!("../fixtures/conservation_caller_bad.rs");
 const TELEMETRY: &str = include_str!("../fixtures/telemetry_bad.rs");
@@ -48,6 +49,56 @@ fn determinism_fires_on_known_bad() {
         2,
         "{msgs:?}"
     );
+}
+
+#[test]
+fn determinism_sees_through_hash_type_aliases() {
+    let a = analyze_sources(
+        vec![src(
+            "crates/mem/src/determinism_alias_bad.rs",
+            "mem",
+            DETERMINISM_ALIAS,
+        )],
+        &[],
+    );
+    let msgs: Vec<&str> = a.findings.iter().map(|f| f.message.as_str()).collect();
+    assert!(
+        a.findings.iter().all(|f| f.rule == Rule::Determinism),
+        "{msgs:?}"
+    );
+    // keys() on an aliased field, for-loop over an alias-of-alias field,
+    // iter() on an aliased local — and nothing else (lookups and the
+    // ordered alias stay quiet).
+    assert_eq!(a.findings.len(), 3, "{msgs:?}");
+    assert!(msgs.iter().any(|m| m.contains("by_id.keys()")));
+    assert!(msgs.iter().any(|m| m.contains("for … in chained")));
+    assert!(msgs.iter().any(|m| m.contains("seen.iter()")));
+    assert!(!msgs.iter().any(|m| m.contains("sorted")));
+}
+
+#[test]
+fn hash_alias_defined_in_another_crate_still_counts() {
+    // The alias lives in one sim crate and the field in another, as the
+    // fixed-hasher index alias does.
+    let a = analyze_sources(
+        vec![
+            src(
+                "crates/sim/src/alias.rs",
+                "sim",
+                "pub type FastIndex<K, V> = std::collections::HashMap<K, V>;\n",
+            ),
+            src(
+                "crates/nic/src/user.rs",
+                "nic",
+                "pub struct T { idx: ceio_sim::FastIndex<u32, u32> }\n\
+                 impl T { pub fn n(&self) -> usize { self.idx.values().count() } }\n",
+            ),
+        ],
+        &[],
+    );
+    let msgs: Vec<&str> = a.findings.iter().map(|f| f.message.as_str()).collect();
+    assert_eq!(a.findings.len(), 1, "{msgs:?}");
+    assert!(msgs[0].contains("idx.values()"), "{msgs:?}");
 }
 
 #[test]

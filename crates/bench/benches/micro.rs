@@ -81,8 +81,11 @@ fn bench_llc(c: &mut Criterion) {
             llc.insert(BufferId(i), 512);
         }
         let mut i = RESIDENT;
+        let mut evicted = Vec::new();
         b.iter(|| {
-            black_box(llc.insert(BufferId(i), 512).len());
+            evicted.clear();
+            llc.insert_into(BufferId(i), 512, &mut evicted);
+            black_box(evicted.len());
             black_box(llc.lookup(BufferId(i - RESIDENT)));
             llc.consume(BufferId(i - RESIDENT));
             i += 1;
@@ -91,8 +94,13 @@ fn bench_llc(c: &mut Criterion) {
     c.bench_function("llc_thrash_evictions", |b| {
         let mut llc = IoLlc::new(64 * 2048);
         let mut i = 0u64;
+        // Evictions land in a reused buffer, as the memory controller's
+        // retire path collects them.
+        let mut evicted = Vec::new();
         b.iter(|| {
-            black_box(llc.insert(BufferId(i), 2048).len());
+            evicted.clear();
+            llc.insert_into(BufferId(i), 2048, &mut evicted);
+            black_box(evicted.len());
             i += 1;
         });
     });
@@ -121,8 +129,11 @@ fn bench_setassoc(c: &mut Criterion) {
                 llc.insert(BufferId(i), bytes);
             }
             let mut i = lag;
+            let mut evicted = Vec::new();
             b.iter(|| {
-                black_box(llc.insert(BufferId(i), bytes).len());
+                evicted.clear();
+                llc.insert_into(BufferId(i), bytes, &mut evicted);
+                black_box(evicted.len());
                 black_box(llc.lookup(BufferId(i - lag)));
                 llc.consume(BufferId(i - lag));
                 i += 1;

@@ -25,7 +25,7 @@
 //!   pool and are re-granted evenly to active flows.
 
 use ceio_net::FlowId;
-use ceio_sim::{Duration, Time};
+use ceio_sim::{Duration, IdMap, Time};
 #[cfg(feature = "trace")]
 use ceio_telemetry::{TraceEvent, TraceKind, TraceRing};
 use serde::Serialize;
@@ -106,9 +106,14 @@ struct LeaseTable {
 #[derive(Debug, Clone)]
 pub struct CreditManager {
     total: u64,
-    /// Per-flow ledgers, ordered by flow id: Algorithm 1 sweeps this map,
-    /// and an ordered map keeps those sweeps deterministic by construction.
-    flows: BTreeMap<FlowId, FlowCredits>,
+    /// Per-flow ledgers, iterated in flow-id order: Algorithm 1 sweeps
+    /// this map, and the ordered iteration keeps those sweeps deterministic
+    /// by construction; per-packet lookups are hashed.
+    flows: IdMap<FlowId, FlowCredits>,
+    /// Running Σ per-flow credits (Eq. 1's first term), kept by every
+    /// mutator so [`CreditManager::conserved`] is O(1).
+    /// [`CreditManager::assigned_total`] recounts it from the ledgers.
+    assigned: u64,
     /// The insufficient set `I`: flows with outstanding debts.
     insufficient: BTreeSet<FlowId>,
     /// Credits not assigned to any flow (rounding residue, reclaimed,
@@ -133,7 +138,8 @@ impl CreditManager {
     pub fn new(total: u64) -> CreditManager {
         CreditManager {
             total,
-            flows: BTreeMap::new(),
+            flows: IdMap::new(),
+            assigned: 0,
             insufficient: BTreeSet::new(),
             free_pool: total,
             outstanding: 0,
@@ -241,17 +247,29 @@ impl CreditManager {
         &self.stats
     }
 
-    /// Sum of credits currently assigned to flows.
+    /// Sum of credits currently assigned to flows: the running total
+    /// every mutator keeps, O(1).
+    #[inline]
+    #[must_use]
+    pub fn assigned(&self) -> u64 {
+        self.assigned
+    }
+
+    /// Sum of credits currently assigned to flows, recounted from the
+    /// per-flow ledgers in O(flows). The oracle for [`Self::assigned`]:
+    /// tests and the audit layer compare the two, so Eq. 1 is never
+    /// checked only against the counter it is computed from.
     #[must_use]
     pub fn assigned_total(&self) -> u64 {
         self.flows.values().map(|c| c.credits).sum()
     }
 
-    /// Conservation check: assigned + pool + outstanding == total.
-    /// (Debug aid; cheap enough to assert in tests and controller polls.)
+    /// Conservation check: assigned + pool + outstanding == total, over the
+    /// running assigned total, so it is O(1) and every mutator asserts it.
+    #[inline]
     #[must_use]
     pub fn conserved(&self) -> bool {
-        self.assigned_total() + self.free_pool + self.outstanding == self.total
+        self.assigned + self.free_pool + self.outstanding == self.total
     }
 
     /// Arm per-grant credit leases with the given time-to-live.
@@ -415,12 +433,14 @@ impl CreditManager {
                 if fc.credits >= need {
                     // Line 4-6: the flow can afford its contribution.
                     fc.credits -= need;
+                    self.assigned -= need;
                     collected += need;
                 } else {
                     // Lines 8-14: contribute everything, owe the shortfall
                     // to the new flows, spread evenly.
                     let give = fc.credits;
                     fc.credits = 0;
+                    self.assigned -= give;
                     collected += give;
                     let shortfall = need - give;
                     let per_new = shortfall / m;
@@ -459,6 +479,7 @@ impl CreditManager {
                     owed: BTreeMap::new(),
                 },
             );
+            self.assigned += share;
         }
         debug_assert!(self.conserved(), "add_flows broke Eq. 1 conservation");
     }
@@ -468,6 +489,7 @@ impl CreditManager {
     pub fn remove_flow(&mut self, f: FlowId) {
         if let Some(fc) = self.flows.remove(&f) {
             self.free_pool += fc.credits;
+            self.assigned -= fc.credits;
         }
         self.insufficient.remove(&f);
         for (i, fc) in self.flows.iter_mut() {
@@ -486,6 +508,7 @@ impl CreditManager {
         let admitted = match self.flows.get_mut(&f) {
             Some(fc) if fc.credits > 0 => {
                 fc.credits -= 1;
+                self.assigned -= 1;
                 self.outstanding += 1;
                 self.stats.consumed += 1;
                 if let Some(l) = self.leases.as_mut() {
@@ -556,6 +579,7 @@ impl CreditManager {
             }
             let cleared = fc.owed.is_empty();
             fc.credits += remaining;
+            self.assigned += remaining;
             if cleared {
                 self.insufficient.remove(&f);
             }
@@ -565,7 +589,10 @@ impl CreditManager {
             for (j, pay) in payments {
                 self.stats.debts_repaid += pay;
                 match self.flows.get_mut(&j) {
-                    Some(cj) => cj.credits += pay,
+                    Some(cj) => {
+                        cj.credits += pay;
+                        self.assigned += pay;
+                    }
                     None => self.free_pool += pay,
                 }
             }
@@ -575,6 +602,7 @@ impl CreditManager {
             }
         } else {
             fc.credits += remaining;
+            self.assigned += remaining;
         }
         debug_assert!(self.conserved(), "release broke Eq. 1 conservation");
     }
@@ -599,6 +627,7 @@ impl CreditManager {
         };
         let taken = fc.credits;
         fc.credits = 0;
+        self.assigned -= taken;
         self.free_pool += taken;
         if taken > 0 {
             self.stats.reclaims += 1;
@@ -618,6 +647,7 @@ impl CreditManager {
         };
         let granted = amount.min(self.free_pool);
         fc.credits += granted;
+        self.assigned += granted;
         self.free_pool -= granted;
         #[cfg(feature = "trace")]
         if granted > 0 {
@@ -647,6 +677,7 @@ impl CreditManager {
                 .get_mut(f)
                 .expect("invariant: `live` retains only ids present in `flows`")
                 .credits += per;
+            self.assigned += per;
             self.free_pool -= per;
         }
         debug_assert!(self.conserved(), "grant_evenly broke Eq. 1 conservation");
@@ -698,6 +729,7 @@ impl CreditManager {
     pub fn mint_credit_for_tests(&mut self, f: FlowId) {
         if let Some(fc) = self.flows.get_mut(&f) {
             fc.credits += 1;
+            self.assigned += 1;
         }
     }
 }

@@ -30,11 +30,10 @@ use ceio_chaos::{FaultInjector, FaultSite};
 use ceio_host::{DrainRequest, HostState, IoPolicy, SteerDecision};
 use ceio_net::{FlowId, Packet};
 use ceio_nic::{QueueId, SteerAction};
-use ceio_sim::Time;
+use ceio_sim::{IdMap, Time};
 use ceio_telemetry::SnapshotBuilder;
 #[cfg(feature = "trace")]
 use ceio_telemetry::{merge_events, TraceEvent, TraceKind, TraceRing};
-use std::collections::BTreeMap;
 
 /// Per-flow controller bookkeeping.
 #[derive(Debug, Clone)]
@@ -142,9 +141,10 @@ pub struct CeioPolicy {
     /// introspection). At `num_queues == 1` it degenerates to the flat
     /// single-queue manager.
     pub credits: ShardedCredits,
-    /// Per-flow controller state, ordered by flow id so every sweep of
-    /// the control loop visits flows in the same (deterministic) order.
-    ctl: BTreeMap<FlowId, FlowCtl>,
+    /// Per-flow controller state, iterated in flow-id order so every
+    /// sweep of the control loop visits flows in the same (deterministic)
+    /// order; per-packet lookups are hashed.
+    ctl: IdMap<FlowId, FlowCtl>,
     rr_order: Vec<FlowId>,
     rr_cursor: usize,
     next_rr: Time,
@@ -171,7 +171,7 @@ impl CeioPolicy {
     pub fn new(cfg: CeioConfig) -> CeioPolicy {
         CeioPolicy {
             credits: ShardedCredits::new(cfg.credit_total, cfg.num_queues.max(1)),
-            ctl: BTreeMap::new(),
+            ctl: IdMap::new(),
             rr_order: Vec::new(),
             rr_cursor: 0,
             next_rr: Time::ZERO + cfg.rr_reactivate_interval,
@@ -379,7 +379,7 @@ impl CeioPolicy {
 
     /// Rewrite every fast-path steering rule whose queue no longer matches
     /// the machine's failover remap. Sweeps `ctl` in flow-id order (the
-    /// `BTreeMap` iteration order), so the re-steer sequence — and with it
+    /// `IdMap` iteration order), so the re-steer sequence — and with it
     /// the ARM-core charge timeline and RMT rewrite accounting — is fully
     /// deterministic for a given failure. Slow-path rules are untouched:
     /// their queue binding re-resolves when the fast path resumes.
@@ -600,7 +600,7 @@ impl IoPolicy for CeioPolicy {
         // for huge transfers — exactly the asymmetry that degrades
         // CPU-bypass flows to the slow path first. Credits of
         // deprioritized flows are diverted to the pool (§4.1 Q3).
-        let pending = {
+        let (pending, deprioritized) = {
             let Some(c) = self.ctl.get_mut(&flow) else {
                 // Torn-down flow: return credits straight to the pool.
                 self.credits.release_to_pool(flow, fast_pkts as u64);
@@ -610,15 +610,13 @@ impl IoPolicy for CeioPolicy {
             if msgs == 0 {
                 return;
             }
-            std::mem::take(&mut c.pending_release)
+            // The release below touches only the credit ledger, so the
+            // activity stamp can land now, in the same lookup.
+            c.last_activity = now;
+            (std::mem::take(&mut c.pending_release), c.deprioritized)
         };
         if pending > 0 {
-            let divert = self.cfg.reallocate
-                && self
-                    .ctl
-                    .get(&flow)
-                    .map(|c| c.deprioritized)
-                    .unwrap_or(false);
+            let divert = self.cfg.reallocate && deprioritized;
             self.deliver_release(now, flow, pending, divert);
             st.nic_arm.execute(now, st.cfg.nic.arm_credit_op);
             #[cfg(feature = "trace")]
@@ -630,9 +628,6 @@ impl IoPolicy for CeioPolicy {
                     value: pending,
                 });
             }
-        }
-        if let Some(c) = self.ctl.get_mut(&flow) {
-            c.last_activity = now;
         }
     }
 
@@ -1150,14 +1145,17 @@ impl IoPolicy for CeioPolicy {
         sink: &mut ceio_audit::AuditSink,
     ) {
         let cm = &self.credits;
-        if !cm.conserved() {
+        // The running assigned total must also match a recount of the
+        // per-flow ledgers, or Eq. 1 would be checked against itself.
+        if !cm.conserved() || cm.assigned() != cm.assigned_total() {
             sink.report(
                 ctx,
                 "credit-conservation",
                 "Eq. 1 violated: assigned + pool + outstanding != total".to_string(),
                 vec![
                     ("total", cm.total().to_string()),
-                    ("assigned", cm.assigned_total().to_string()),
+                    ("assigned", cm.assigned().to_string()),
+                    ("assigned_recount", cm.assigned_total().to_string()),
                     ("free_pool", cm.free_pool().to_string()),
                     ("outstanding", cm.outstanding().to_string()),
                 ],

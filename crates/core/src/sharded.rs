@@ -128,7 +128,16 @@ impl ShardedCredits {
         self.parts.iter().map(|p| p.free_pool()).sum::<u64>() + self.global_free
     }
 
-    /// Credits currently assigned to flows, across all partitions.
+    /// Credits currently assigned to flows, across all partitions, from
+    /// each partition's running total (O(queues)).
+    #[must_use]
+    pub fn assigned(&self) -> u64 {
+        self.parts.iter().map(|p| p.assigned()).sum()
+    }
+
+    /// Credits currently assigned to flows, across all partitions,
+    /// recounted from the per-flow ledgers (O(flows); the oracle for
+    /// [`Self::assigned`]).
     #[must_use]
     pub fn assigned_total(&self) -> u64 {
         self.parts.iter().map(|p| p.assigned_total()).sum()

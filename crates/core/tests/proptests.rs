@@ -2,7 +2,7 @@
 //!
 //! * The credit manager conserves credits under *any* operation sequence
 //!   (Eq. 1 is only a safety bound if no credit can ever be minted or
-//!   leaked).
+//!   leaked), and its running assigned total always equals a recount.
 //! * The software ring delivers in exact arrival order under any
 //!   interleaving of fast pushes, slow pushes, fetch completions, and
 //!   receives.
@@ -313,5 +313,88 @@ proptest! {
         cm.release(FlowId(0), 5);
         prop_assert_eq!(cm.free_pool(), pool, "stale release must not mint credit");
         prop_assert!(cm.conserved());
+    }
+}
+
+/// Every ledger mutator, for the running-total check: the base alphabet
+/// plus pool diversion, the hierarchical borrow/return pair and the lease
+/// watchdog.
+#[derive(Debug, Clone)]
+enum LedgerOp {
+    Base(CreditOp),
+    ReleaseToPool(u8, u8),
+    Inject(u16),
+    Withdraw(u16),
+    AdvanceExpire(u8),
+}
+
+fn ledger_op() -> impl Strategy<Value = LedgerOp> {
+    prop_oneof![
+        6 => credit_op().prop_map(LedgerOp::Base),
+        1 => (0u8..16, 1u8..64).prop_map(|(f, n)| LedgerOp::ReleaseToPool(f, n)),
+        1 => (0u16..512).prop_map(LedgerOp::Inject),
+        1 => (0u16..512).prop_map(LedgerOp::Withdraw),
+        1 => (1u8..200).prop_map(LedgerOp::AdvanceExpire),
+    ]
+}
+
+proptest! {
+    /// The running assigned total that makes `conserved()` O(1) equals a
+    /// recount of the per-flow ledgers after every operation of every
+    /// mutator, so Eq. 1 is never checked only against its own counter.
+    /// A third view, the sum of `credits(f)` over every id the ops can
+    /// name, pins the recount itself.
+    #[test]
+    fn running_assigned_total_matches_recount(
+        total in 1u64..4000,
+        leased in any::<bool>(),
+        ops in prop::collection::vec(ledger_op(), 1..200),
+    ) {
+        use ceio_sim::{Duration, Time};
+        let mut cm = CreditManager::new(total);
+        if leased {
+            cm.enable_leases(Duration::nanos(50));
+        }
+        let mut now = 0u64;
+        for op in ops {
+            match op {
+                LedgerOp::Base(CreditOp::AddFlows(ids)) => {
+                    let ids: Vec<FlowId> = ids.into_iter().map(|i| FlowId(i as u32)).collect();
+                    cm.add_flows(&ids);
+                }
+                LedgerOp::Base(CreditOp::Remove(f)) => cm.remove_flow(FlowId(f as u32)),
+                LedgerOp::Base(CreditOp::Consume(f, n)) => {
+                    for _ in 0..n {
+                        let _ = cm.try_consume(FlowId(f as u32));
+                    }
+                }
+                LedgerOp::Base(CreditOp::Release(f, n)) => cm.release(FlowId(f as u32), n as u64),
+                LedgerOp::Base(CreditOp::Reclaim(f)) => {
+                    let _ = cm.reclaim(FlowId(f as u32));
+                }
+                LedgerOp::Base(CreditOp::Grant(f, n)) => {
+                    let _ = cm.grant(FlowId(f as u32), n as u64);
+                }
+                LedgerOp::Base(CreditOp::GrantEvenly(ids)) => {
+                    let ids: Vec<FlowId> = ids.into_iter().map(|i| FlowId(i as u32)).collect();
+                    cm.grant_evenly(&ids);
+                }
+                LedgerOp::ReleaseToPool(f, n) => cm.release_to_pool(FlowId(f as u32), n as u64),
+                LedgerOp::Inject(n) => cm.inject_pool(n as u64),
+                LedgerOp::Withdraw(n) => {
+                    let _ = cm.withdraw_pool(n as u64);
+                }
+                LedgerOp::AdvanceExpire(ticks) => {
+                    now += ticks as u64;
+                    cm.set_now(Time(now));
+                    let _ = cm.expire_leases();
+                }
+            }
+            let by_id: u64 = (0..16).map(|i| cm.credits(FlowId(i))).sum();
+            prop_assert_eq!(cm.assigned(), cm.assigned_total(), "running total drifted from recount");
+            prop_assert_eq!(cm.assigned_total(), by_id);
+            prop_assert!(cm.conserved());
+            prop_assert_eq!(cm.assigned() + cm.free_pool() + cm.outstanding(), cm.total());
+        }
     }
 }

@@ -272,6 +272,18 @@ impl<P: IoPolicy> Machine<P> {
         };
 
         self.st.cores[core].count_poll(true);
+        // Resolve the flow's state and app once per batch; nothing below
+        // starts or stops a flow, so their positions hold for the loop.
+        let flow_slot = self
+            .st
+            .flows
+            .slot(&flow_id)
+            .expect("invariant: the selected flow is listed, so it has state");
+        let app_slot = self
+            .st
+            .apps
+            .slot(&flow_id)
+            .expect("invariant: every flow gets an app at Machine::build time");
         let mut t = now;
         let mut fast = 0u32;
         let mut slow = 0u32;
@@ -303,12 +315,7 @@ impl<P: IoPolicy> Machine<P> {
                     read.ready.since(t).max(self.st.cfg.mem.dram_base_latency)
                 }
             };
-            let work = self
-                .st
-                .apps
-                .get_mut(&flow_id)
-                .expect("invariant: every flow gets an app at Machine::build time")
-                .process(&rp.pkt);
+            let work = self.st.apps.at_mut(app_slot).process(&rp.pkt);
             let mut dur = self.st.cfg.cpu.per_packet_overhead + mem_stall + work.cpu;
             if work.copy_bytes > 0 {
                 self.st.memctrl.app_copy(now, work.copy_bytes);
@@ -340,11 +347,7 @@ impl<P: IoPolicy> Machine<P> {
             self.st
                 .meas
                 .record_delivery(class, rp.pkt.bytes, rp.via_slow);
-            let f = self
-                .st
-                .flows
-                .get_mut(&flow_id)
-                .expect("invariant: flow presence was checked earlier in this handler");
+            let f = self.st.flows.at_mut(flow_slot);
             f.latency.record_duration(t.since(rp.pkt.sent_at));
             f.accounted += 1;
             f.counters.consumed_pkts += 1;

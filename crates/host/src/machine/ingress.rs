@@ -83,20 +83,25 @@ impl<P: IoPolicy> Machine<P> {
         let fw = self.st.cfg.nic.firmware_per_packet;
         match decision {
             SteerDecision::FastPath { mark } => {
-                self.st.feedback(now, pkt.flow, pkt.ecn || mark);
+                // Read the queue state before borrowing the flow, so the
+                // flow is looked up once for feedback, both admission
+                // checks and its sequence number.
+                let q = self.st.queue_of(pkt.flow);
+                let staging_full =
+                    self.st.rxq[q].pending_bytes() + pkt.bytes > self.st.queue_staging_bytes();
                 let f = self
                     .st
                     .flows
                     .get_mut(&pkt.flow)
                     .expect("invariant: flow presence was checked earlier in this handler");
+                f.cca.on_feedback(now, pkt.ecn || mark);
                 if f.ring_free() == 0 {
                     // No RX descriptor: the NIC must drop.
                     self.st.account_drop(now, pkt.flow, pkt.bytes, true);
                     self.policy.on_fast_drop(&mut self.st, now, pkt.flow);
                     return;
                 }
-                let q = self.st.queue_of(pkt.flow);
-                if self.st.rxq[q].pending_bytes() + pkt.bytes > self.st.queue_staging_bytes() {
+                if staging_full {
                     // This queue's staging partition overflowed while its
                     // DMA pipeline is backpressured.
                     self.st.rxq[q].stats.staging_drops += 1;
@@ -104,11 +109,6 @@ impl<P: IoPolicy> Machine<P> {
                     self.policy.on_fast_drop(&mut self.st, now, pkt.flow);
                     return;
                 }
-                let f = self
-                    .st
-                    .flows
-                    .get_mut(&pkt.flow)
-                    .expect("invariant: flow presence was checked earlier in this handler");
                 f.ring_inflight += 1;
                 let nic_seq = f.take_seq();
                 let buf = self.st.alloc_buf();
@@ -122,13 +122,14 @@ impl<P: IoPolicy> Machine<P> {
                 self.pump(queue, now + fw, q);
             }
             SteerDecision::SlowPath { mark } => {
-                self.st.feedback(now, pkt.flow, pkt.ecn || mark);
+                let f = self
+                    .st
+                    .flows
+                    .get_mut(&pkt.flow)
+                    .expect("invariant: flow presence was checked earlier in this handler");
+                f.cca.on_feedback(now, pkt.ecn || mark);
                 match self.st.onboard.write(now + fw, pkt.bytes) {
                     Some(ready_at_nic) => {
-                        let f =
-                            self.st.flows.get_mut(&pkt.flow).expect(
-                                "invariant: flow presence was checked earlier in this handler",
-                            );
                         let nic_seq = f.take_seq();
                         f.slow_queue.push_back(SlowPkt {
                             pkt,

@@ -58,9 +58,9 @@ use ceio_net::generator::Pacing;
 use ceio_net::{FlowClass, FlowId, FlowSpec, IngressLink, Scenario, ScenarioEvent};
 use ceio_nic::{rss_queue, ArmCore, OnboardMemory, QueueId, RmtEngine, SteerAction};
 use ceio_pcie::DmaEngine;
-use ceio_sim::{Bandwidth, EventQueue, Histogram, Model, Rng, Simulation, Time};
+use ceio_sim::{Bandwidth, EventQueue, Histogram, IdMap, Model, Rng, Simulation, Time};
 use serde::Serialize;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Machine events.
 ///
@@ -154,10 +154,11 @@ pub struct HostState {
     pub cfg: HostConfig,
     /// Deterministic RNG (forked per flow).
     pub rng: Rng,
-    /// All flows ever started (inactive ones retained for reporting).
-    pub flows: BTreeMap<FlowId, FlowState>,
+    /// All flows ever started (inactive ones retained for reporting), in
+    /// flow-id order; keyed lookups are hashed (see [`IdMap`]).
+    pub flows: IdMap<FlowId, FlowState>,
     /// Per-flow applications.
-    pub apps: BTreeMap<FlowId, Box<dyn Application>>,
+    pub apps: IdMap<FlowId, Box<dyn Application>>,
     app_factory: AppFactory,
     /// The shared receiver link.
     pub ingress: IngressLink,
@@ -376,9 +377,9 @@ impl HostState {
         if let Some(f) = self.flows.get_mut(&flow) {
             f.counters.dropped += 1;
             f.accounted += 1;
-        }
-        if loss {
-            self.signal_loss(now, flow);
+            if loss {
+                f.cca.on_loss(now);
+            }
         }
     }
 
@@ -475,8 +476,8 @@ impl<P: IoPolicy> Machine<P> {
         dma.set_write_channels(num_queues);
         let st = HostState {
             rng: rng.fork(),
-            flows: BTreeMap::new(),
-            apps: BTreeMap::new(),
+            flows: IdMap::new(),
+            apps: IdMap::new(),
             app_factory,
             ingress: IngressLink::new(cfg.net.clone()),
             rmt: RmtEngine::new(SteerAction::FastPath {

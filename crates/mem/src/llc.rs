@@ -8,8 +8,9 @@
 //! that span 32 sets each, so we model the partition as a single LRU pool of
 //! variable-size buffer entries with byte-accurate occupancy.
 
-use std::collections::{btree_map, BTreeMap};
+use std::collections::hash_map;
 
+use ceio_sim::IdHashMap;
 use serde::Serialize;
 
 /// Identifier of one I/O buffer resident in (or evicted from) the LLC.
@@ -90,9 +91,10 @@ pub struct IoLlc {
     capacity_bytes: u64,
     occupancy_bytes: u64,
     next_seq: u64,
-    /// BufferId -> arena index (ordered, so any future iteration is
-    /// deterministic); touched once per call, plus once per eviction.
-    index: BTreeMap<BufferId, u32>,
+    /// BufferId -> arena index, hashed with the fixed id hasher; touched
+    /// once per call, plus once per eviction. Never iterated: the LRU list
+    /// carries every order the model needs.
+    index: IdHashMap<BufferId, u32>,
     /// Arena of residents; indices in `free` are unused.
     entries: Vec<Entry>,
     free: Vec<u32>,
@@ -110,7 +112,7 @@ impl IoLlc {
             capacity_bytes,
             occupancy_bytes: 0,
             next_seq: 0,
-            index: BTreeMap::new(),
+            index: IdHashMap::default(),
             entries: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -182,12 +184,21 @@ impl IoLlc {
         self.tail = idx;
     }
 
-    /// DDIO insertion of a DMA-written buffer. Returns the buffers evicted
-    /// (oldest first) to make room; their consumers will miss to DRAM.
+    /// DDIO insertion of a DMA-written buffer, returning the buffers it
+    /// evicted (see [`IoLlc::insert_into`]) in a fresh `Vec`.
+    pub fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
+        let mut evicted = Vec::new();
+        self.insert_into(id, bytes, &mut evicted);
+        evicted
+    }
+
+    /// DDIO insertion of a DMA-written buffer. Appends the buffers evicted
+    /// (oldest first) to make room to `evicted`; their consumers will miss
+    /// to DRAM.
     ///
     /// Inserting an id that is already resident refreshes its recency and
     /// size (a buffer reused for a new packet).
-    pub fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
+    pub fn insert_into(&mut self, id: BufferId, bytes: u64, evicted: &mut Vec<BufferId>) {
         self.stats.insertions += 1;
         let seq = self.take_seq();
         let entry = Entry {
@@ -198,13 +209,13 @@ impl IoLlc {
             next: NIL,
         };
         let idx = match self.index.entry(id) {
-            btree_map::Entry::Occupied(o) => {
+            hash_map::Entry::Occupied(o) => {
                 let idx = *o.get();
                 self.unlink(idx);
                 self.occupancy_bytes -= self.entries[idx as usize].bytes;
                 idx
             }
-            btree_map::Entry::Vacant(v) => *v.insert(self.free.pop().unwrap_or_else(|| {
+            hash_map::Entry::Vacant(v) => *v.insert(self.free.pop().unwrap_or_else(|| {
                 self.entries.push(entry);
                 (self.entries.len() - 1) as u32
             })),
@@ -213,7 +224,6 @@ impl IoLlc {
         self.push_back(idx);
         self.occupancy_bytes += bytes;
 
-        let mut evicted = Vec::new();
         while self.occupancy_bytes > self.capacity_bytes && self.index.len() > 1 {
             // Evict the least recently written/used entry. The incoming
             // buffer sits at the tail and more than one entry is resident,
@@ -236,7 +246,6 @@ impl IoLlc {
             // silently reporting occupancy > capacity.
             self.stats.over_capacity_events += 1;
         }
-        evicted
     }
 
     /// CPU lookup of a buffer: records a hit (refreshing recency) or a miss.

@@ -49,6 +49,10 @@ pub struct MemoryController {
     pub dram: Dram,
     /// IIO staging buffer (public: HostCC monitors occupancy).
     pub iio: IioBuffer,
+    /// Buffers the latest [`MemoryController::retire`] evicted, in
+    /// eviction order; cleared and refilled by each retire, so the
+    /// steady state allocates nothing per insertion.
+    evicted: Vec<BufferId>,
 }
 
 impl MemoryController {
@@ -58,6 +62,7 @@ impl MemoryController {
             llc: Llc::from_params(&params),
             dram: Dram::new(params.dram_bandwidth, params.dram_base_latency),
             iio: IioBuffer::new(params.iio_capacity_bytes),
+            evicted: Vec::new(),
             params,
         }
     }
@@ -75,7 +80,8 @@ impl MemoryController {
     }
 
     /// Retire a staged DMA write of `bytes` into buffer `id`, returning the
-    /// retire instant and any DDIO evictions.
+    /// retire instant. The DDIO evictions it caused are collected in a
+    /// reused buffer ([`MemoryController::dma_write`] reports them).
     ///
     /// With DDIO enabled the data allocates into the LLC partition. When the
     /// partition is *not* overflowing, the write retires at LLC speed; when
@@ -84,21 +90,18 @@ impl MemoryController {
     /// into the IIO buffer (and from there into PCIe credits), producing the
     /// HostCC congestion signal *after* misses have already begun (§2.3).
     /// With DDIO disabled the write goes straight to DRAM.
-    pub fn retire(&mut self, now: Time, id: BufferId, bytes: u64) -> (Time, Vec<BufferId>) {
+    pub fn retire(&mut self, now: Time, id: BufferId, bytes: u64) -> Time {
+        self.evicted.clear();
         if self.params.ddio_enabled {
-            let evicted = self.llc.insert(id, bytes);
-            if evicted.is_empty() {
-                (now + self.params.llc_hit_latency, evicted)
-            } else {
-                let mut done = now + self.params.llc_hit_latency;
-                for _ in &evicted {
-                    done = done.max(self.dram.request(now, bytes));
-                }
-                (done, evicted)
+            self.llc.insert_into(id, bytes, &mut self.evicted);
+            let mut done = now + self.params.llc_hit_latency;
+            for _ in &self.evicted {
+                done = done.max(self.dram.request(now, bytes));
             }
+            done
         } else {
             self.llc.bypass(bytes);
-            (self.dram.request(now, bytes), Vec::new())
+            self.dram.request(now, bytes)
         }
     }
 
@@ -134,11 +137,11 @@ impl MemoryController {
                 stalled: true,
             };
         }
-        let (completion, evicted) = self.retire(now, id, bytes);
+        let completion = self.retire(now, id, bytes);
         self.retire_done(bytes);
         DmaWriteOutcome {
             completion,
-            evicted,
+            evicted: self.evicted.clone(),
             stalled: false,
         }
     }
@@ -248,6 +251,23 @@ mod tests {
         let r = c.cpu_read(Time(100), BufferId(1), 2048);
         assert!(!r.hit);
         assert!(r.ready >= Time(100) + c.params().dram_base_latency);
+    }
+
+    #[test]
+    fn each_write_reports_only_its_own_evictions() {
+        let mut c = MemoryController::new(MemParams {
+            ddio_bytes: 2048,
+            ..MemParams::default()
+        });
+        assert!(c.dma_write(Time(0), BufferId(1), 2048).evicted.is_empty());
+        let out = c.dma_write(Time(1), BufferId(2), 2048); // evicts 1
+        assert_eq!(out.evicted, vec![BufferId(1)]);
+        c.consume(BufferId(2));
+        let out = c.dma_write(Time(2), BufferId(3), 2048); // room again
+        assert!(
+            out.evicted.is_empty(),
+            "the eviction list is cleared per retire"
+        );
     }
 
     #[test]

@@ -30,9 +30,10 @@ pub struct WayOccupancy {
 
 /// Behaviour every LLC model provides to the memory controller.
 pub trait LlcModel {
-    /// DDIO insertion of a DMA-written buffer; returns the buffers evicted
-    /// to make room (their consumers will miss to DRAM).
-    fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId>;
+    /// DDIO insertion of a DMA-written buffer; appends the buffers evicted
+    /// to make room to `evicted`, in eviction order (their consumers will
+    /// miss to DRAM). The caller owns and reuses the buffer.
+    fn insert_into(&mut self, id: BufferId, bytes: u64, evicted: &mut Vec<BufferId>);
     /// CPU lookup: hit (refreshing recency) or miss. `true` on hit.
     fn lookup(&mut self, id: BufferId) -> bool;
     /// Remove a consumed buffer; no-op if already evicted.
@@ -59,8 +60,8 @@ pub trait LlcModel {
 }
 
 impl LlcModel for IoLlc {
-    fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
-        IoLlc::insert(self, id, bytes)
+    fn insert_into(&mut self, id: BufferId, bytes: u64, evicted: &mut Vec<BufferId>) {
+        IoLlc::insert_into(self, id, bytes, evicted);
     }
     fn lookup(&mut self, id: BufferId) -> bool {
         IoLlc::lookup(self, id)
@@ -92,8 +93,8 @@ impl LlcModel for IoLlc {
 }
 
 impl LlcModel for SetAssocLlc {
-    fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
-        SetAssocLlc::insert(self, id, bytes)
+    fn insert_into(&mut self, id: BufferId, bytes: u64, evicted: &mut Vec<BufferId>) {
+        SetAssocLlc::insert_into(self, id, bytes, evicted);
     }
     fn lookup(&mut self, id: BufferId) -> bool {
         SetAssocLlc::lookup(self, id)
@@ -157,9 +158,9 @@ impl Llc {
         }
     }
 
-    /// See [`LlcModel::insert`].
-    pub fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
-        delegate!(self, insert, id, bytes)
+    /// See [`LlcModel::insert_into`].
+    pub fn insert_into(&mut self, id: BufferId, bytes: u64, evicted: &mut Vec<BufferId>) {
+        delegate!(self, insert_into, id, bytes, evicted)
     }
     /// See [`LlcModel::lookup`].
     pub fn lookup(&mut self, id: BufferId) -> bool {
@@ -213,8 +214,8 @@ impl Llc {
 }
 
 impl LlcModel for Llc {
-    fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
-        Llc::insert(self, id, bytes)
+    fn insert_into(&mut self, id: BufferId, bytes: u64, evicted: &mut Vec<BufferId>) {
+        Llc::insert_into(self, id, bytes, evicted);
     }
     fn lookup(&mut self, id: BufferId) -> bool {
         Llc::lookup(self, id)
@@ -290,7 +291,7 @@ mod tests {
     #[test]
     fn dispatch_reaches_the_live_model() {
         let mut llc = Llc::from_params(&setassoc_params());
-        llc.insert(BufferId(1), 2048);
+        llc.insert_into(BufferId(1), 2048, &mut Vec::new());
         assert!(llc.contains(BufferId(1)));
         assert_eq!(llc.occupancy(), 2048);
         llc.bypass(64);
@@ -305,7 +306,7 @@ mod tests {
     fn over_capacity_bytes_tracks_excess() {
         let mut llc = Llc::Pool(IoLlc::new(1024));
         assert_eq!(llc.over_capacity_bytes(), 0);
-        llc.insert(BufferId(1), 4096);
+        llc.insert_into(BufferId(1), 4096, &mut Vec::new());
         assert_eq!(llc.over_capacity_bytes(), 3072);
     }
 }

@@ -24,9 +24,10 @@
 //! comparisons read no map, and a buffer's lines are found by scanning the
 //! DDIO ways of its consecutive sets rather than kept in a list.
 //!
-//! Determinism: set choice uses a pure multiplicative hash (SplitMix64
-//! finalizer) of the buffer id / antagonist cursor — no ambient state, so
-//! identical traces produce identical placements on every run.
+//! Determinism: set choice uses a pure multiplicative hash (the SplitMix64
+//! finalizer [`ceio_sim::mix`]) of the buffer id / antagonist cursor, and
+//! the id → arena index hashes with the same seedless mixer — no ambient
+//! state, so identical traces produce identical placements on every run.
 //!
 //! Equivalence with the pool: with 1 set, `ddio_bytes / 64` DDIO ways, the
 //! antagonist disabled, and line-multiple buffer sizes, victim selection
@@ -34,8 +35,9 @@
 //! a time, never the incoming one" — exactly the pool's loop, including the
 //! oversized-buffer over-capacity edge. A proptest pins this.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+
+use ceio_sim::{mix, IdHashMap};
 
 use crate::llc::{BufferId, LlcStats};
 use crate::model::WayOccupancy;
@@ -76,23 +78,15 @@ struct Resident {
     base: usize,
 }
 
-/// SplitMix64 finalizer: a pure bijective mixer, fine under the determinism
-/// rules (no ambient state).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// The way-partitioned set-associative LLC.
 #[derive(Debug)]
 pub struct SetAssocLlc {
     p: SetAssocParams,
     /// `sets * total_ways` slot words, set-major.
     slots: Vec<u64>,
-    /// Resident buffer id → arena index.
-    index: BTreeMap<BufferId, u32>,
+    /// Resident buffer id → arena index (fixed-hasher lookup; never
+    /// iterated).
+    index: IdHashMap<BufferId, u32>,
     /// Arena of residency records; indices in `free` are unused.
     residents: Vec<Resident>,
     /// Buffer recency per arena index (refreshed on lookup, like the pool).
@@ -129,7 +123,7 @@ impl SetAssocLlc {
             way_io_lines: vec![0; p.total_ways],
             way_app_lines: vec![0; p.total_ways],
             p,
-            index: BTreeMap::new(),
+            index: IdHashMap::default(),
             residents: Vec::new(),
             seqs: Vec::new(),
             free: Vec::new(),
@@ -290,17 +284,24 @@ impl SetAssocLlc {
         }
     }
 
+    /// DDIO insertion of a DMA-written buffer, returning the buffers it
+    /// evicted (see [`SetAssocLlc::insert_into`]) in a fresh `Vec`.
+    pub fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
+        let mut evicted = Vec::new();
+        self.insert_into(id, bytes, &mut evicted);
+        evicted
+    }
+
     /// DDIO insertion of a DMA-written buffer: `ceil(bytes/64)` lines at
-    /// consecutive sets from a hashed base. Returns evicted buffers (the
-    /// antagonist's victims first, then LRU-within-set victims in placement
-    /// order); their consumers will miss to DRAM.
+    /// consecutive sets from a hashed base. Appends the evicted buffers to
+    /// `evicted` (the antagonist's victims first, then LRU-within-set
+    /// victims in placement order); their consumers will miss to DRAM.
     ///
     /// Inserting an id that is already resident refreshes its recency and
     /// size (a buffer reused for a new packet), exactly like the pool model.
-    pub fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
+    pub fn insert_into(&mut self, id: BufferId, bytes: u64, evicted: &mut Vec<BufferId>) {
         self.stats.insertions += 1;
-        let mut evicted = Vec::new();
-        self.advance_app(&mut evicted);
+        self.advance_app(evicted);
         let idx = match self.index.entry(id) {
             Entry::Occupied(e) => {
                 let idx = *e.get() as usize;
@@ -321,7 +322,7 @@ impl SetAssocLlc {
         let mut row = base * self.p.total_ways;
         let mut overflowed = false;
         for _ in 0..bytes.div_ceil(LINE_BYTES).max(1) {
-            match self.claim_way(row, 0, self.p.ddio_ways, tag, false, &mut evicted) {
+            match self.claim_way(row, 0, self.p.ddio_ways, tag, false, evicted) {
                 Some(way) => {
                     self.slots[row + way] = tag;
                     self.way_io_lines[way] += 1;
@@ -338,7 +339,6 @@ impl SetAssocLlc {
             self.stats.over_capacity_events += 1;
         }
         self.occupancy_bytes += bytes;
-        evicted
     }
 
     /// CPU lookup of a buffer: records a hit (refreshing buffer-level

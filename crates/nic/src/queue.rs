@@ -36,8 +36,9 @@ impl std::fmt::Display for QueueId {
 
 /// RSS: map a flow identity onto one of `num_queues` RX queues.
 ///
-/// The hash is a splitmix64-style finalizer — cheap, stateless, and
-/// avalanching, standing in for the Toeplitz hash real NICs use. The
+/// The hash is the SplitMix64 finalizer ([`ceio_sim::mix`]) — cheap,
+/// stateless, and avalanching, standing in for the Toeplitz hash real NICs
+/// use. The
 /// properties the pipeline relies on:
 ///
 /// * **deterministic** — the same flow always lands on the same queue, so
@@ -52,11 +53,7 @@ pub fn rss_queue(flow: u32, num_queues: usize) -> QueueId {
     if num_queues <= 1 {
         return QueueId::ZERO;
     }
-    let mut x = u64::from(flow).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    QueueId((x % num_queues as u64) as usize)
+    QueueId((ceio_sim::mix(u64::from(flow)) % num_queues as u64) as usize)
 }
 
 #[cfg(test)]

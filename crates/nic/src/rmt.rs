@@ -8,8 +8,9 @@
 //! credit consumption — exactly the paper's control loop.
 
 use crate::queue::QueueId;
+use ceio_sim::IdMap;
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::hash::Hash;
 
 /// Where the RMT engine steers a matched packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -54,21 +55,22 @@ pub struct RmtStats {
 
 /// The match-action steering table, keyed by flow identifier `K`.
 ///
-/// Keys are ordered (`BTreeMap`), so every iteration over installed rules
-/// is deterministic — the simulation's replay guarantee must not depend on
-/// a hash map's per-process iteration order.
+/// Rules live in an [`IdMap`]: a packet's match is one hashed probe (the
+/// hardware's exact-match lookup), while [`RmtEngine::keys`] still lists
+/// installed rules in ascending key order, so every sweep over them is
+/// deterministic and independent of hashing.
 #[derive(Debug)]
 pub struct RmtEngine<K> {
-    rules: BTreeMap<K, Rule>,
+    rules: IdMap<K, Rule>,
     default_action: SteerAction,
     stats: RmtStats,
 }
 
-impl<K: Ord + Clone> RmtEngine<K> {
+impl<K: Ord + Hash + Copy> RmtEngine<K> {
     /// An empty table with the given default action for unmatched packets.
     pub fn new(default_action: SteerAction) -> RmtEngine<K> {
         RmtEngine {
-            rules: BTreeMap::new(),
+            rules: IdMap::new(),
             default_action,
             stats: RmtStats::default(),
         }

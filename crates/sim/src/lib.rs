@@ -14,6 +14,9 @@
 //!   bit-reproducible from its seed.
 //! * [`stats`] — counters, windowed rate meters, EWMAs, time series, and an
 //!   HDR-style log-linear histogram used for P50/P99/P99.9 reporting.
+//! * [`hash`] / [`idmap`] — keyed state for the packet path: a seedless
+//!   SplitMix64 hasher ([`IdHashMap`]) and an id-ordered map with hashed
+//!   lookup ([`IdMap`]).
 //!
 //! The engine is intentionally synchronous and single-threaded: the CEIO
 //! experiments sweep many configurations, and the harness parallelises across
@@ -23,12 +26,16 @@
 
 pub mod engine;
 pub mod event;
+pub mod hash;
+pub mod idmap;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use engine::{Model, Simulation, StepOutcome};
 pub use event::{EventEntry, EventQueue, QueueBackend, TimerToken};
+pub use hash::{mix, IdHashMap, IdHasher};
+pub use idmap::IdMap;
 pub use rng::Rng;
 pub use stats::{Counter, Ewma, Histogram, RateMeter, TimeSeries};
 pub use time::{Bandwidth, Duration, Time};

@@ -15,13 +15,13 @@ pub struct Rng {
     s: [u64; 4],
 }
 
+/// One step of the SplitMix64 generator: output the finalizer of the
+/// current state, then advance it by the golden-ratio increment.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
+    let z = crate::hash::mix(*state);
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    z
 }
 
 impl Rng {

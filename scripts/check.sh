@@ -209,10 +209,10 @@ for w in kv hop thrash; do
         || { cat "$smoke_dir/simbench-$w.txt"; echo "simbench smoke: $w failed its output checks"; exit 1; }
 done
 # A seed with no recorded fingerprint, traced: the set-associative LLC
-# (thrash), the pool LLC and the delivery window (kv) still have to
-# conserve packets and give traced == untraced outputs off the recorded
-# path.
-for w in thrash kv; do
+# (thrash), the pool LLC and the delivery window (kv) and the hashed flow
+# tables at 512 registered flows (hop) still have to conserve packets and
+# give traced == untraced outputs off the recorded path.
+for w in thrash kv hop; do
     cargo run --release --offline -q --manifest-path simbench/Cargo.toml -- \
         --workload "$w" --seed 2 --trace 1 --seconds 1 > "$smoke_dir/simbench-$w-seed2.txt" \
         || { cat "$smoke_dir/simbench-$w-seed2.txt"; echo "simbench smoke: $w seed 2 failed its output checks"; exit 1; }
